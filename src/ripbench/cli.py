@@ -22,7 +22,7 @@ from . import haar_fourier as hf
 from . import model_sets as ms
 from . import rip_estimator as re_
 from . import tail_probes as tp
-from ._rng import CH_MU, CH_SECANT, CH_TRIAL, child_seed, substream
+from ._rng import CH_MU, CH_SECANT, CH_TRIAL, RNG_LAYOUT, child_seed, substream
 from .embeddings import DistSpec, apply, gaussian, rank_one_map, sparse_pm, storage_cost
 
 SEED_ENV = "RIPBENCH_SEED"
@@ -61,6 +61,7 @@ def _fail(code: int, kind: str, message: str) -> int:
 
 def _config_dict(args) -> dict:
     cfg = {k: v for k, v in vars(args).items() if k not in ("func",)}
+    cfg["rng_layout"] = RNG_LAYOUT  # which key-to-draw mapping produced the seeded output
     return {k: cfg[k] for k in sorted(cfg)}
 
 

@@ -10,9 +10,12 @@ The range of the stage-one block carries the min-norm-preimage norm
 ||y||_b = inf{||z|| : b(z) = y}, realized here as the Gram-inverse quadratic
 form sqrt(y^T G^{-1} y); its dual is sqrt(a^T G a).
 
-Random matrices are reproducible row by row: row i draws from substream
-(seed, CH_ROW, i), so a map can be extended in m without re-drawing earlier
-rows, and a JSON descriptor regenerates the map bit-exactly.
+Random matrices are keyed by row block: rows [b B, (b+1) B) with
+B = ROW_BLOCK come from one draw on substream (seed, CH_ROW, b), filled in
+row-major order.  Row i is therefore entry i % B of block i // B whatever m
+is, so the m-row map is a row prefix of any larger map with the same seed
+(a map can be extended in m without re-drawing earlier rows), and a JSON
+descriptor regenerates the map bit-exactly.
 """
 
 from __future__ import annotations
@@ -23,9 +26,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from ._rng import CH_ROW, substream
+
+# rows per substream in _draw_rows; part of the random-stream layout (RNG_LAYOUT)
+ROW_BLOCK = 256
 
 __all__ = [
     "DistSpec",
@@ -106,7 +111,7 @@ class StageOneMap:
     gram: np.ndarray         # d x d, <b_i, b_j>
     is_orthonormal: bool
     cond: float
-    _cho: tuple = field(repr=False, default=None, compare=False)
+    _chol: np.ndarray = field(repr=False, default=None, compare=False)  # lower Cholesky factor of gram
 
     @property
     def d(self) -> int:
@@ -136,8 +141,7 @@ def build_stage_one(basis_block, ambient_dim: Optional[int] = None) -> StageOneM
     if cond > 1e12:
         raise ValueError(f"Gram condition number {cond:.3e} exceeds 1e12")
     ortho = bool(np.max(np.abs(G - np.eye(G.shape[0]))) <= 1e-10)
-    cho = scipy.linalg.cho_factor(G, lower=True)
-    return StageOneMap(basis_block=B, gram=G, is_orthonormal=ortho, cond=cond, _cho=cho)
+    return StageOneMap(basis_block=B, gram=G, is_orthonormal=ortho, cond=cond, _chol=np.linalg.cholesky(G))
 
 
 def build_stage_one_from_span(vectors, tol: float = 1e-10) -> StageOneMap:
@@ -167,9 +171,8 @@ def b_norm(stage_one: StageOneMap, y) -> float:
     Equals the Euclidean norm of the orthogonal projection of any preimage
     onto the row space, so for orthonormal rows it is just ||y||_2.
     """
-    y = np.asarray(y, dtype=float)
-    z = scipy.linalg.cho_solve(stage_one._cho, y)
-    return float(math.sqrt(max(float(y @ z), 0.0)))
+    # G = C C^T, so y^T G^{-1} y = ||C^{-1} y||^2
+    return float(np.linalg.norm(np.linalg.solve(stage_one._chol, np.asarray(y, dtype=float))))
 
 
 def b_dual_norm(stage_one: StageOneMap, a) -> float:
@@ -214,10 +217,11 @@ class MeasurementMap:
 
 
 def _draw_rows(dist: DistSpec, m: int, width: int, seed: int) -> np.ndarray:
-    rows = np.empty((m, width))
-    for i in range(m):
-        rows[i] = draw_dist(dist, width, substream(seed, CH_ROW, i))
-    return rows
+    """m x width entries, one substream per ROW_BLOCK rows (see module docstring)."""
+    return np.concatenate([
+        draw_dist(dist, (min(ROW_BLOCK, m - start), width), substream(seed, CH_ROW, start // ROW_BLOCK))
+        for start in range(0, m, ROW_BLOCK)
+    ])
 
 
 def two_stage_map(
@@ -254,7 +258,7 @@ def two_stage_map(
 
 def rank_one_map(m: int, n1: int, n2: int, dist: DistSpec, seed: int) -> MeasurementMap:
     """Rank-one family: measurement i is a_i^T M b_i / m; a_i and b_i are the
-    first n1 and last n2 entries of the substream-(seed, i) draw."""
+    first n1 and last n2 entries of row i of the block-keyed draw."""
     if m < 1 or n1 < 1 or n2 < 1:
         raise ValueError("need m, n1, n2 >= 1")
     block = _draw_rows(dist, m, n1 + n2, seed)
@@ -280,10 +284,18 @@ def apply(L: MeasurementMap, x) -> np.ndarray:
 
 
 def apply_columns(L: MeasurementMap, X: np.ndarray) -> np.ndarray:
-    """Two-stage batch evaluation: X has one input vector per column."""
-    if L.variant != "two_stage":
-        raise ValueError("apply_columns supports two-stage maps only")
+    """Batch evaluation: X has one input vector per column (for rank-one, one
+    row-major flattened n1 x n2 matrix per column).
+
+    A rank-one map is one matmul with its Khatri-Rao rows vec(a_i b_i^T),
+    since a_i^T M b_i = <vec(a_i b_i^T), vec(M)>.
+    """
     X = np.asarray(X, dtype=float)
+    if L.variant == "rank_one":
+        if X.shape[0] != L.input_dim:
+            raise ValueError(f"expected columns of length {L.input_dim}, got {X.shape[0]}")
+        rows = (L.a_vecs[:, :, None] * L.b_vecs[:, None, :]).reshape(L.m, L.input_dim)
+        return (rows @ X) / L.m
     Y = L.stage_one.basis_block @ X if L.stage_one is not None else X
     return (L.matrix @ Y) * L.scale
 

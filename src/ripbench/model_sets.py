@@ -296,22 +296,25 @@ def normalized_secants(
     from substream (seed, i).  With a ModelSpec (or a sampler callable taking
     (count, seed)), fresh model points are drawn and consecutive draws 2i and
     2i+1 form pair i; pair_ids then index that draw stream, so the generating
-    points are recoverable from (spec, seed).
+    points are recoverable from (spec, seed).  A given count must be at least
+    1; a ModelSpec or sampler with count=None yields one secant.
 
     Raises ModelCollapseError when more than 99 percent of attempted pairs
     fall below the relative gap threshold.
     """
     if min_gap <= 0.0:
         raise ValueError("min_gap > 0 required")
+    if count is not None and count < 1:
+        raise ValueError(f"need count >= 1, got {count}")
 
     if isinstance(points, (CorrelatedSeq, PointCloud)):
         points = sample_model(points, 0, seed)  # deterministic finite families
     elif isinstance(points, (Sparse, LowRank, HaarSparse)):
         spec = points
         sampler = lambda c, s: sample_model(spec, c, s)  # noqa: E731
-        return _secants_from_stream(sampler, count or 1, min_gap, seed)
+        return _secants_from_stream(sampler, 1 if count is None else count, min_gap, seed)
     elif callable(points) and not isinstance(points, Sequence):
-        return _secants_from_stream(points, count or 1, min_gap, seed)
+        return _secants_from_stream(points, 1 if count is None else count, min_gap, seed)
 
     pts = [np.asarray(p, dtype=float) for p in points]
     if len(pts) < 2:

@@ -230,11 +230,9 @@ def empirical_delta(
 
 
 def _measured_pnorms(L: MeasurementMap, secants: Sequence[SecantSample], p: int) -> np.ndarray:
-    if L.variant == "two_stage":
-        X = np.stack([s.direction for s in secants], axis=1)
-        Z = apply_columns(L, X)
-        return np.abs(Z).sum(axis=0) if p == 1 else (Z * Z).sum(axis=0)
-    return np.asarray([pnorm_p(apply(L, s.direction), p) for s in secants])
+    """||L(x)||_p^p for every secant, through one batched apply."""
+    Z = apply_columns(L, np.stack([s.direction for s in secants], axis=1))
+    return np.abs(Z).sum(axis=0) if p == 1 else (Z * Z).sum(axis=0)
 
 
 def delta_extremes(spec: MuNormSpec, secants: Sequence[SecantSample], p: int):
@@ -271,6 +269,9 @@ def rip_sweep(
     every (m, trial) cell; the map for trial t at size m comes from substream
     (seed, map channel, m, t), so rows are reproducible cell by cell.
     """
+    for name, count in (("trials", trials), ("n_secants", n_secants)):
+        if count < 1:
+            raise ValueError(f"need {name} >= 1, got {count}")
     m_list = [int(m) for m in m_list]
     if any(m_list[i] >= m_list[i + 1] for i in range(len(m_list) - 1)):
         raise ValueError("m_list must be strictly ascending")

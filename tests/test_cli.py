@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -161,6 +165,33 @@ def test_rip_sweep_json_rows(capsys):
     assert [r["m"] for r in got["rows"]] == [4, 8]
     assert all(r["trials"] == 3 and r["p"] == 2 for r in got["rows"])
     assert got["config"]["mu"] == "auto"
+
+
+@pytest.mark.parametrize("flag", ["--trials", "--n-secants"])
+def test_rip_sweep_zero_count_exits_2(capsys, flag):
+    argv = list(SWEEP_ARGS)
+    argv[argv.index(flag) + 1] = "0"
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    rec = json.loads(err)
+    assert rec["error"] == "config"
+    assert flag[2:].replace("-", "_") in rec["message"]
+
+
+def test_reports_record_rng_layout(capsys):
+    from ripbench._rng import RNG_LAYOUT
+    assert run_json(capsys, *SWEEP_ARGS)["config"]["rng_layout"] == RNG_LAYOUT
+    rc, out, err = run(capsys, *SWEEP_ARGS, "--format", "csv")
+    assert json.loads(out.splitlines()[-1][len("# config: "):])["rng_layout"] == RNG_LAYOUT
+
+
+def test_import_leaves_scipy_unloaded():
+    code = "import sys, ripbench.cli; print('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_rip_sweep_threads_value_identical(capsys):

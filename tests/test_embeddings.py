@@ -203,6 +203,18 @@ def test_rows_extendable_in_m():
     La = em.two_stage_map(None, em.gaussian(), 4, p=2, seed=33, ambient_dim=5)
     Lb = em.two_stage_map(None, em.gaussian(), 8, p=2, seed=33, ambient_dim=5)
     np.testing.assert_array_equal(La.matrix, Lb.matrix[:4])
+    # across the row-block boundary, for both laws and both map families
+    B = em.ROW_BLOCK
+    big = 2 * B + 3
+    for dist in (em.gaussian(), em.sparse_pm(4.0)):
+        full = em.two_stage_map(None, dist, big, p=2, seed=33, ambient_dim=5).matrix
+        full_r1 = em.rank_one_map(big, 3, 4, dist, seed=33)
+        for m in (B - 1, B, B + 1):
+            part = em.two_stage_map(None, dist, m, p=2, seed=33, ambient_dim=5).matrix
+            np.testing.assert_array_equal(part, full[:m])
+            part_r1 = em.rank_one_map(m, 3, 4, dist, seed=33)
+            np.testing.assert_array_equal(part_r1.a_vecs, full_r1.a_vecs[:m])
+            np.testing.assert_array_equal(part_r1.b_vecs, full_r1.b_vecs[:m])
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +231,23 @@ def test_descriptor_roundtrip_two_stage():
     np.testing.assert_array_equal(L.stage_one.basis_block, back.stage_one.basis_block)
     x = np.array([0.3, -1.2, 0.0])
     np.testing.assert_array_equal(em.apply(L, x), em.apply(back, x))
+
+
+def test_descriptor_roundtrip_beyond_one_row_block():
+    m = 2 * em.ROW_BLOCK + 3
+    for L in (em.two_stage_map(None, em.sparse_pm(4.0), m, p=2, seed=5, ambient_dim=6),
+              em.rank_one_map(m, 3, 2, em.gaussian(), seed=5)):
+        back = em.map_from_descriptor(em.map_to_descriptor(L))
+        assert back.m == m
+        for attr in ("matrix", "a_vecs", "b_vecs"):
+            if getattr(L, attr) is not None:
+                np.testing.assert_array_equal(getattr(L, attr), getattr(back, attr))
+
+
+def test_apply_columns_rank_one_rejects_wrong_length():
+    L = em.rank_one_map(7, 3, 4, em.gaussian(), seed=2)
+    with pytest.raises(ValueError):
+        em.apply_columns(L, np.zeros((11, 2)))
 
 
 def test_descriptor_roundtrip_rank_one():

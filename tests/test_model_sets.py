@@ -127,6 +127,13 @@ def test_secants_from_model_spec_unit_norm():
         assert abs(np.linalg.norm(s.direction) - 1.0) < 1e-12
 
 
+def test_secants_zero_count_rejected():
+    pts = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
+    for source in (ms.Sparse(16, 2), pts):
+        with pytest.raises(ValueError, match="count"):
+            ms.normalized_secants(source, count=0, seed=7)
+
+
 def test_secants_collapse_detected():
     pts = [np.array([1.0, 0.0])] * 5
     with pytest.raises(ms.ModelCollapseError):

@@ -286,6 +286,22 @@ def test_sweep_requires_ascending_m():
         ripest.rip_sweep(ms.Sparse(n=4, k=1), em.gaussian(), [16, 8], 2, 5, 1, 0)
 
 
+def test_sweep_rejects_zero_counts():
+    with pytest.raises(ValueError, match="trials"):
+        ripest.rip_sweep(ms.Sparse(n=4, k=1), em.gaussian(), [8], 2, 5, 0, 0)
+    with pytest.raises(ValueError, match="n_secants"):
+        ripest.rip_sweep(ms.Sparse(n=4, k=1), em.gaussian(), [8], 2, 0, 5, 0)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_batched_rank_one_pnorms_match_per_secant_apply(p):
+    secants = ms.normalized_secants(ms.LowRank(4, 5, 1), count=30, seed=3)
+    L = em.rank_one_map(40, 4, 5, em.gaussian(), seed=11)
+    got = ripest._measured_pnorms(L, secants, p)
+    want = [ripest.pnorm_p(em.apply(L, s.direction), p) for s in secants]
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
 def test_sweep_deterministic_and_thread_invariant():
     args = (ms.Sparse(n=8, k=2), em.gaussian(), [8, 16], 1, 20, 6, 99)
     rows_a = ripest.rip_sweep(*args)

@@ -76,6 +76,8 @@ class BoundInputs:
             raise ValueError(f"need delta in (0, 1), got {self.delta}")
         if self.c1 <= 0.0 or self.c2 <= 0.0:
             raise ValueError("need c1, c2 > 0 (math.inf allowed)")
+        if math.isinf(self.c1) and math.isinf(self.c2):
+            raise ValueError("c1 and c2 cannot both be infinite: one regime must fire")
         if self.Lambda <= 0.0:
             raise ValueError("need Lambda > 0")
         if self.C_abs <= 0.0:

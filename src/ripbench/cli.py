@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -212,6 +211,17 @@ def _dist_spec(args) -> DistSpec:
     return sparse_pm(args.q)
 
 
+def _map_dims(args, spec) -> tuple:
+    """Rank-one (n1, n2) from --n1/--n2 or a low-rank model; (0, 0) for two-stage."""
+    if args.variant != "rank-one":
+        return 0, 0
+    n1, n2 = args.n1 or 0, args.n2 or 0
+    if isinstance(spec, ms.LowRank):
+        n1, n2 = n1 or spec.n1, n2 or spec.n2
+    _require(n1 > 0 and n2 > 0, f"{args.subcommand} with --variant rank-one requires --n1 and --n2")
+    return n1, n2
+
+
 def _cmd_rip_sweep(args) -> int:
     _require(args.m_list is not None, "rip-sweep requires --m-list")
     if args.points is not None:
@@ -219,12 +229,7 @@ def _cmd_rip_sweep(args) -> int:
     else:
         spec = _model_spec(args)
     variant = args.variant.replace("-", "_")
-    n1 = args.n1 or 0
-    n2 = args.n2 or 0
-    if variant == "rank_one":
-        if isinstance(spec, ms.LowRank):
-            n1, n2 = n1 or spec.n1, n2 or spec.n2
-        _require(n1 > 0 and n2 > 0, "rank-one sweep requires --n1 and --n2")
+    n1, n2 = _map_dims(args, spec)
     mu_mode = {"auto": "auto", "analytic": "analytic", "mc": "monte_carlo"}[args.mu]
     rows = re_.rip_sweep(
         spec, _dist_spec(args), args.m_list, args.p, args.n_secants, args.trials,
@@ -245,7 +250,9 @@ def _cmd_rip_sweep(args) -> int:
 
 def _cmd_rop(args) -> int:
     _require(args.format == "json", "rop emits JSON only")
+    _require(args.trials >= 2, f"rop needs trials >= 2 for a standard deviation, got {args.trials}")
     n1, n2 = args.n1, args.n2
+    _require(n1 >= 1 and n2 >= 1, f"rop needs n1, n2 >= 1, got {n1}, {n2}")
     dist = _dist_spec(args)
     if args.target == "single-entry":
         M = np.zeros((n1, n2))
@@ -262,24 +269,24 @@ def _cmd_rop(args) -> int:
         y = apply(L, M)
         vals1[t] = float(np.sum(np.abs(y)))
         vals2[t] = float(np.sum(y * y)) * args.m  # undo one 1/m to report mean (a^T M b)^2
-    if dist.variant == "gaussian":
-        analytic1 = 2.0 / math.pi * fro
-        analytic2 = fro * fro
-    elif args.target == "single-entry":
-        analytic1 = 1.0 / dist.q
-        analytic2 = fro * fro
-    else:
-        analytic1 = None
-        analytic2 = fro * fro
+    # E|a^T M b|^p is the semi-norm of a one-row rank-one map
+    one_row = re_.MuNormSpec(mode="analytic", dist=dist, variant="rank_one", m=1, n1=n1, n2=n2)
+
+    def analytic(p: int):
+        try:
+            return re_.mu_pnorm(one_row, M.ravel(), p).value
+        except re_.UnsupportedAnalyticError:
+            return None
+
     payload = {
         "subcommand": "rop",
         "config": _config_dict(args),
         "frobenius": fro,
         "abs_mean": float(vals1.mean()),
         "abs_mean_std": float(vals1.std(ddof=1)),
-        "abs_mean_analytic": analytic1,
+        "abs_mean_analytic": analytic(1),
         "sq_mean": float(vals2.mean()),
-        "sq_mean_analytic": analytic2,
+        "sq_mean_analytic": analytic(2),
         "storage_cost": args.m * (n1 + n2),
         "dense_cost": args.m * n1 * n2,
     }
@@ -387,13 +394,9 @@ def _cmd_tails(args) -> int:
     spec = _model_spec(args)
     secs = ms.normalized_secants(spec, count=1, seed=child_seed(args.seed, CH_SECANT))
     y = secs[0].direction
-    variant = args.variant.replace("-", "_")
-    n1 = args.n1 or 0
-    n2 = args.n2 or 0
-    if variant == "rank_one" and isinstance(spec, ms.LowRank):
-        n1, n2 = n1 or spec.n1, n2 or spec.n2
+    n1, n2 = _map_dims(args, spec)
     fit = tp.increment_tail_fit(
-        _dist_spec(args), variant, args.m, y, np.zeros_like(y), args.p,
+        _dist_spec(args), args.variant.replace("-", "_"), args.m, y, np.zeros_like(y), args.p,
         args.lambda_grid, args.trials, args.seed, n1=n1, n2=n2,
     )
     payload = {

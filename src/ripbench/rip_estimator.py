@@ -6,9 +6,9 @@ secant sample is delta_p = max_x |  ||L(x)||_p^p - mu(x)^p  |, a sample-based
 lower bound on the true supremum; under_delta and bar_delta estimate the
 inf and sup of mu^p over the set.
 
-mu is computed in closed form for the documented (distribution, map family,
-p) triples and by Monte-Carlo map redraws otherwise, with a reported
-standard error.
+mu_pnorm is the one semi-norm routine: closed forms for the documented
+(distribution, map family, p) triples, Monte-Carlo map redraws with a standard
+error otherwise, over a vector or a column batch with one mode per call.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -26,9 +26,7 @@ from .embeddings import (
     DistSpec,
     MeasurementMap,
     StageOneMap,
-    apply,
     apply_columns,
-    apply_stage_one,
     rank_one_map,
     two_stage_map,
 )
@@ -64,7 +62,8 @@ class MuNormSpec:
 
     mode "analytic" covers exactly the documented closed forms (see
     mu_pnorm); "monte_carlo" averages over n_resample independent map
-    redraws seeded from (seed, map index).
+    redraws seeded from (seed, map index); "auto" uses the closed form when
+    every column of the call has one and Monte-Carlo otherwise.
     """
 
     mode: str
@@ -79,7 +78,7 @@ class MuNormSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.mode not in ("analytic", "monte_carlo"):
+        if self.mode not in ("analytic", "monte_carlo", "auto"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.variant not in ("two_stage", "rank_one"):
             raise ValueError(f"unknown variant {self.variant!r}")
@@ -89,9 +88,9 @@ class MuNormSpec:
 
 @dataclass(frozen=True)
 class MuNorm:
-    value: float
-    stderr: float
-    mode: str
+    value: float | np.ndarray   # floats for one vector, arrays for a column batch
+    stderr: float | np.ndarray
+    mode: str                    # resolved: "analytic" | "monte_carlo"
 
 
 @dataclass(frozen=True)
@@ -127,41 +126,49 @@ def pnorm_p(z: np.ndarray, p: int) -> float:
     raise ValueError(f"p must be 1 or 2, got {p}")
 
 
-def _analytic_mu(spec: MuNormSpec, x: np.ndarray, p: int) -> float:
+def _column_norms(X: np.ndarray) -> np.ndarray:
+    """Column norms, bit-identical to np.linalg.norm of each column alone."""
+    Xt = np.ascontiguousarray(X.T)
+    return np.sqrt(np.vecdot(Xt, Xt))
+
+
+def _column_pnorms(Z: np.ndarray, p: int) -> np.ndarray:
+    """||z||_p^p for every column z of Z."""
+    return np.abs(Z).sum(axis=0) if p == 1 else (Z * Z).sum(axis=0)
+
+
+def _analytic_mu(spec: MuNormSpec, X: np.ndarray, p: int) -> np.ndarray:
+    """Closed-form mu(x)^p per column of X; raises unless every column has one."""
     d = spec.dist.variant
     if spec.variant == "two_stage":
-        y = apply_stage_one(spec.stage_one, x) if spec.stage_one is not None else x
-        nrm = float(np.linalg.norm(y))
-        if d == "gaussian" and p == 2:
-            # each scaled row contributes |a^T y|^2 / m; expectation ||y||_2^2
+        nrm = _column_norms(spec.stage_one.basis_block @ X if spec.stage_one is not None else X)
+        if p == 2:
+            # each scaled row contributes |a^T y|^2 / m; E (a^T y)^2 = ||y||_2^2
+            # for any zero-mean unit-variance law
             return nrm * nrm
-        if d == "gaussian" and p == 1:
+        if d == "gaussian":
             # E|a^T y| = sqrt(2/pi) ||y||_2, and the m rows average out
             return math.sqrt(2.0 / math.pi) * nrm
         raise UnsupportedAnalyticError(f"no closed form for ({d}, two_stage, p={p})")
-    M = np.asarray(x, dtype=float).reshape(spec.n1, spec.n2)
-    fro = float(np.linalg.norm(M))
-    if d == "gaussian" and p == 2:
-        # E (a^T M b)^2 = ||M||_F^2; the 1/m scaling leaves ||M||_F^2 / m
+    if p == 2:
+        # E (a^T M b)^2 = ||M||_F^2 for any zero-mean unit-variance law; the
+        # 1/m scaling leaves ||M||_F^2 / m
+        fro = _column_norms(X)
         return fro * fro / spec.m
-    if d == "gaussian" and p == 1:
-        svals = np.linalg.svd(M, compute_uv=False)
-        if svals.size > 1 and svals[1] > 1e-8 * max(svals[0], 1e-300):
+    if d == "gaussian":
+        svals = np.linalg.svd(X.T.reshape(-1, spec.n1, spec.n2), compute_uv=False)
+        if svals.shape[1] > 1 and np.any(svals[:, 1] > 1e-8 * np.maximum(svals[:, 0], 1e-300)):
             raise UnsupportedAnalyticError(
                 "gaussian rank-one p=1 closed form holds for rank-1 matrices only"
             )
         # a^T M b = sigma1 g h with independent standard normals g, h
-        return (2.0 / math.pi) * fro
-    if d == "sparse_pm" and p == 1:
-        nz = np.argwhere(M != 0.0)
-        if len(nz) != 1:
-            raise UnsupportedAnalyticError(
-                "sparse plus-minus rank-one p=1 closed form holds for single-entry matrices only"
-            )
-        i, j = nz[0]
-        # exact 3-point x 3-point enumeration: E|a_i b_j| = (1/sqrt(q))^2
-        return float(abs(M[i, j])) / spec.dist.q
-    raise UnsupportedAnalyticError(f"no closed form for ({d}, {spec.variant}, p={p})")
+        return (2.0 / math.pi) * _column_norms(X)
+    if np.any(np.count_nonzero(X, axis=0) != 1):
+        raise UnsupportedAnalyticError(
+            "sparse plus-minus rank-one p=1 closed form holds for single-entry matrices only"
+        )
+    # exact 3-point x 3-point enumeration: E|a_i b_j| = (1/sqrt(q))^2
+    return np.abs(X).sum(axis=0) / spec.dist.q
 
 
 def _draw_map(spec: MuNormSpec, seed: int, p: int) -> MeasurementMap:
@@ -174,27 +181,44 @@ def _draw_map(spec: MuNormSpec, seed: int, p: int) -> MeasurementMap:
 
 
 def mu_pnorm(spec: MuNormSpec, x, p: int) -> MuNorm:
-    """Measurement semi-norm mu(x)^p = E ||L(x)||_p^p.
+    """Measurement semi-norm mu(x)^p = E ||L(x)||_p^p of a vector or of each
+    column of a (D, n) batch (rank-one: row-major flattened n1 x n2 matrices).
 
     Analytic closed forms (all others must use Monte-Carlo):
-      gaussian two-stage p=2   -> ||b(x)||_2^2
-      gaussian two-stage p=1   -> sqrt(2/pi) ||b(x)||_2
-      gaussian rank-one p=2    -> ||M||_F^2 / m
-      gaussian rank-one p=1    -> (2/pi) ||M||_F, rank-1 M only
-      sparse-pm rank-one p=1   -> |M_ij| / q, single-entry M only
+      two-stage p=2, any law      -> ||b(x)||_2^2
+      gaussian two-stage p=1      -> sqrt(2/pi) ||b(x)||_2
+      rank-one p=2, any law       -> ||M||_F^2 / m
+      gaussian rank-one p=1       -> (2/pi) ||M||_F, rank-1 M only
+      sparse-pm rank-one p=1      -> |M_ij| / q, single-entry M only
+    Monte-Carlo draws map j from (spec.seed, map channel, j) once for all columns.
     """
     if p not in (1, 2):
         raise ValueError(f"p must be 1 or 2, got {p}")
     x = np.asarray(x, dtype=float)
-    if spec.mode == "analytic":
-        return MuNorm(_analytic_mu(spec, x, p), 0.0, "analytic")
-    vals = np.empty(spec.n_resample)
-    for j in range(spec.n_resample):
-        L = _draw_map(spec, child_seed(spec.seed, CH_MAP, j), p)
-        vals[j] = pnorm_p(apply(L, x), p)
-    value = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / math.sqrt(spec.n_resample)) if spec.n_resample > 1 else math.inf
-    return MuNorm(value, stderr, "monte_carlo")
+    X = x.reshape(x.shape[0], -1)  # one vector is a batch of one column
+    if spec.variant == "rank_one" and X.shape[0] != spec.n1 * spec.n2:
+        raise ValueError(
+            f"rank-one input of length {X.shape[0]} is not an n1 x n2 = {spec.n1} x {spec.n2} matrix"
+        )
+    mode = spec.mode
+    if mode != "monte_carlo":
+        try:
+            value, stderr, mode = _analytic_mu(spec, X, p), np.zeros(X.shape[1]), "analytic"
+        except UnsupportedAnalyticError:
+            if mode == "analytic":
+                raise
+            mode = "monte_carlo"
+    if mode == "monte_carlo":
+        vals = np.empty((X.shape[1], spec.n_resample))
+        for j in range(spec.n_resample):
+            L = _draw_map(spec, child_seed(spec.seed, CH_MAP, j), p)
+            vals[:, j] = _column_pnorms(apply_columns(L, X), p)
+        value = vals.mean(axis=1)
+        stderr = (vals.std(axis=1, ddof=1) / math.sqrt(spec.n_resample) if spec.n_resample > 1
+                  else np.full(X.shape[1], math.inf))
+    if x.ndim == 1:
+        return MuNorm(float(value[0]), float(stderr[0]), mode)
+    return MuNorm(value, stderr, mode)
 
 
 def empirical_delta(
@@ -229,22 +253,19 @@ def empirical_delta(
     )
 
 
+def _stack(secants: Sequence[SecantSample]) -> np.ndarray:
+    return np.stack([s.direction for s in secants], axis=1)
+
+
 def _measured_pnorms(L: MeasurementMap, secants: Sequence[SecantSample], p: int) -> np.ndarray:
     """||L(x)||_p^p for every secant, through one batched apply."""
-    Z = apply_columns(L, np.stack([s.direction for s in secants], axis=1))
-    return np.abs(Z).sum(axis=0) if p == 1 else (Z * Z).sum(axis=0)
+    return _column_pnorms(apply_columns(L, _stack(secants)), p)
 
 
 def delta_extremes(spec: MuNormSpec, secants: Sequence[SecantSample], p: int):
     """(min, max) of the semi-norm over the sampled secants."""
-    vals = [mu_pnorm(spec, s.direction, p).value for s in secants]
-    return float(min(vals)), float(max(vals))
-
-
-def _mu_values(spec: MuNormSpec, secants, p) -> np.ndarray:
-    if spec.mode == "analytic":
-        return np.asarray([_analytic_mu(spec, s.direction, p) for s in secants])
-    return np.asarray([mu_pnorm(spec, s.direction, p).value for s in secants])
+    vals = mu_pnorm(spec, _stack(secants), p).value
+    return float(vals.min()), float(vals.max())
 
 
 def rip_sweep(
@@ -273,30 +294,20 @@ def rip_sweep(
         if count < 1:
             raise ValueError(f"need {name} >= 1, got {count}")
     m_list = [int(m) for m in m_list]
-    if any(m_list[i] >= m_list[i + 1] for i in range(len(m_list) - 1)):
-        raise ValueError("m_list must be strictly ascending")
-    secants = normalized_secants(model, count=n_secants, seed=child_seed(seed, CH_SECANT))
-    dim = secants[0].direction.size
-
-    spec0 = MuNormSpec(
-        mode="analytic", dist=dist, variant=variant, m=m_list[0], stage_one=stage_one,
-        ambient_dim=dim, n1=n1, n2=n2, n_resample=n_resample, seed=child_seed(seed, CH_MAP, 0),
-    )
-    if mu_mode == "auto":
-        try:
-            _analytic_mu(spec0, secants[0].direction, p)
-            mu_mode = "analytic"
-        except UnsupportedAnalyticError:
-            mu_mode = "monte_carlo"
+    if not m_list or any(m_list[i] >= m_list[i + 1] for i in range(len(m_list) - 1)):
+        raise ValueError("m_list must be nonempty and strictly ascending")
+    X = _stack(normalized_secants(model, count=n_secants, seed=child_seed(seed, CH_SECANT)))
     rows = []
     for m in m_list:
-        spec_m = replace(spec0, mode=mu_mode, m=m)
-        mu_vec = _mu_values(spec_m, secants, p)
+        spec_m = MuNormSpec(
+            mode=mu_mode, dist=dist, variant=variant, m=m, stage_one=stage_one, ambient_dim=X.shape[0],
+            n1=n1, n2=n2, n_resample=n_resample, seed=child_seed(seed, CH_MAP, 0),
+        )
+        mu_vec = mu_pnorm(spec_m, X, p).value
 
         def one_trial(t: int, m=m, spec_m=spec_m, mu_vec=mu_vec) -> float:
             L = _draw_map(spec_m, child_seed(seed, CH_TRIAL, m, t), p)
-            measured = _measured_pnorms(L, secants, p)
-            return float(np.max(np.abs(measured - mu_vec)))
+            return float(np.max(np.abs(_column_pnorms(apply_columns(L, X), p) - mu_vec)))
 
         if threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import json
@@ -26,7 +26,7 @@ import numpy as np
 
 from ._rng import CH_BATCH, CH_MAP, child_seed, substream
 from .embeddings import DistSpec, StageOneMap, apply
-from .rip_estimator import MuNormSpec, UnsupportedAnalyticError, _analytic_mu, _draw_map, mu_pnorm, pnorm_p
+from .rip_estimator import MuNormSpec, _draw_map, mu_pnorm, pnorm_p
 
 __all__ = [
     "TailFit",
@@ -197,18 +197,19 @@ def increment_tail_fit(
     if gap == 0.0:
         raise ValueError("y and z must differ")
     spec = MuNormSpec(
-        mode="analytic", dist=dist, variant=variant, m=m, stage_one=stage_one,
+        mode="auto", dist=dist, variant=variant, m=m, stage_one=stage_one,
         ambient_dim=y.size, n1=n1, n2=n2, n_resample=n_resample,
         seed=child_seed(seed, CH_MAP),
     )
-    mu_y = _mu_value(spec, y, p)
-    mu_z = _mu_value(spec, z, p) if np.any(z != 0.0) else 0.0
+    z_nonzero = bool(np.any(z != 0.0))
+    mu = mu_pnorm(spec, np.stack([y, z], axis=1) if z_nonzero else y, p).value
+    mu_y, mu_z = (mu[0], mu[1]) if z_nonzero else (mu, 0.0)
 
     diffs = np.empty(trials)
     for t in range(trials):
         L = _draw_map(spec, child_seed(seed, CH_BATCH, t), p)
         hy = pnorm_p(apply(L, y), p) - mu_y
-        hz = pnorm_p(apply(L, z), p) - mu_z if np.any(z != 0.0) else 0.0
+        hz = pnorm_p(apply(L, z), p) - mu_z if z_nonzero else 0.0
         diffs[t] = abs(hy - hz)
 
     lams = np.asarray([float(l) for l in lambda_grid])
@@ -220,13 +221,6 @@ def increment_tail_fit(
         raise FitFailureError("all tails zero on the grid; refine lambda_grid")
     c1, c2, split = _two_regime_fit(lams, tails, m, split0=float(np.median(lams)))
     return TailFit(tuple(lams), tuple(tails), c1, c2, split, trials, m)
-
-
-def _mu_value(spec: MuNormSpec, x: np.ndarray, p: int) -> float:
-    try:
-        return _analytic_mu(spec, x, p)
-    except UnsupportedAnalyticError:
-        return mu_pnorm(replace(spec, mode="monte_carlo"), x, p).value
 
 
 def bernstein_tail_check(

@@ -218,3 +218,12 @@ def test_bound_report_bundles():
     assert rep.sums.S1 <= rep.sums.S1_bound
     rep2 = bd.bound_report(inputs, p=2)
     assert abs(rep2.crossover - 8.0) < 1e-12
+
+
+def test_bound_inputs_need_one_finite_rate():
+    with pytest.raises(ValueError, match="both"):
+        bd.BoundInputs(s=4.0, eps_S=0.25, delta=0.5, xi=0.1, c1=math.inf, c2=math.inf)
+    # one unbounded regime is allowed: the other rate sets m
+    for c1, c2 in ((math.inf, 1.0), (1.0, math.inf)):
+        rep = bd.bound_report(bd.BoundInputs(s=4.0, eps_S=0.25, delta=0.5, xi=0.1, c1=c1, c2=c2))
+        assert rep.m_required > 0

@@ -210,6 +210,38 @@ def test_rip_sweep_rank_one_dims_from_model(capsys):
     assert math.isfinite(got["rows"][0]["delta_median"])
 
 
+def test_rip_sweep_auto_mu_over_mixed_rank_secants(capsys):
+    # the first secant is rank 1 and a later one is not: auto must resolve
+    # the p=1 mode over all secants, not raise on the later ones
+    got = run_json(capsys, "rip-sweep", "--model", "sparse", "--n", "16", "--k", "1",
+                   "--variant", "rank-one", "--n1", "4", "--n2", "4", "--p", "1",
+                   "--m-list", "16", "--n-secants", "50", "--trials", "2",
+                   "--n-resample", "20", "--seed", "6")
+    assert math.isfinite(got["rows"][0]["delta_median"])
+
+
+def test_rip_sweep_empty_m_list_exits_2(capsys):
+    rc, out, err = run(capsys, "rip-sweep", "--model", "sparse", "--n", "8", "--k", "2",
+                       "--m-list=", "--seed", "1")
+    assert rc == 2
+    assert "m_list" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("cmd", [
+    ("rip-sweep", "--m-list", "16", "--n-secants", "5", "--trials", "2"),
+    ("tails", "--probe", "increment", "--trials", "1000"),
+])
+@pytest.mark.parametrize("dims", [(), ("--n1", "4", "--n2", "4")])
+def test_rank_one_dims_checked(capsys, cmd, dims):
+    rc, out, err = run(capsys, *cmd, "--model", "sparse", "--n", "32", "--k", "2",
+                       "--variant", "rank-one", *dims, "--seed", "1")
+    assert rc == 2
+    assert out == ""
+    rec = json.loads(err)
+    assert rec["error"] == "config"
+    assert "n1" in rec["message"] and "n2" in rec["message"]
+
+
 # ---------------------------------------------------------------------------
 # rop
 # ---------------------------------------------------------------------------
@@ -239,6 +271,16 @@ def test_rop_rejects_csv(capsys):
     rc, out, err = run(capsys, "rop", "--format", "csv", "--seed", "0")
     assert rc == 2
     assert json.loads(err)["error"] == "config"
+
+
+@pytest.mark.parametrize("flag,value", [("--trials", "0"), ("--trials", "1"), ("--n1", "0")])
+def test_rop_degenerate_sizes_exit_2(capsys, flag, value):
+    rc, out, err = run(capsys, "rop", "--m", "10", flag, value, "--seed", "0")
+    assert rc == 2
+    assert out == ""
+    rec = json.loads(err)
+    assert rec["error"] == "config"
+    assert flag[2:] in rec["message"]
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +383,14 @@ def test_config_file_must_hold_object(capsys, tmp_path):
 # ---------------------------------------------------------------------------
 # error paths
 # ---------------------------------------------------------------------------
+
+def test_bounds_both_rates_infinite_exits_2(capsys):
+    rc, out, err = run(capsys, "bounds", "--s", "4", "--eps-s", "0.25", "--delta", "0.5",
+                       "--xi", "0.1", "--c1", "inf", "--c2", "inf", "--seed", "0")
+    assert rc == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "config"
+
 
 def test_missing_semantic_flag_exits_2(capsys):
     rc, out, err = run(capsys, "net", "--model", "sparse", "--n", "6", "--k", "2",

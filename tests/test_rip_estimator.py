@@ -1,6 +1,7 @@
 """Semi-norm values, empirical deltas, and the m-sweep."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -88,10 +89,10 @@ def test_mu_analytic_unsupported_triples_raise():
     # the closed-form table is a closed list, not a best-effort dispatch
     with pytest.raises(ripest.UnsupportedAnalyticError):
         ripest.mu_pnorm(_two_stage_spec("analytic", 3, 4, dist=em.sparse_pm(2.0)),
-                        np.ones(3), 2)
+                        np.ones(3), 1)
     with pytest.raises(ripest.UnsupportedAnalyticError):
         ripest.mu_pnorm(_rank_one_spec("analytic", 2, 2, 4, dist=em.sparse_pm(2.0)),
-                        np.eye(2).ravel(), 2)
+                        np.eye(2).ravel(), 1)
 
 
 def test_mu_rejects_bad_p_and_mode():
@@ -149,7 +150,7 @@ def test_mc_rank_one_sparse_pm_single_entry():
 
 
 def test_mc_sparse_pm_two_stage_p2_matches_math():
-    # no closed form is exposed for this triple, but the truth is ||x||^2
+    # the truth is ||x||^2, checked here without the closed-form table
     x = np.array([1.0, 1.0, -1.0, 0.0])
     mc = ripest.mu_pnorm(
         _two_stage_spec("monte_carlo", 4, 6, dist=em.sparse_pm(4.0),
@@ -157,6 +158,71 @@ def test_mc_sparse_pm_two_stage_p2_matches_math():
         x, 2,
     )
     assert abs(mc.value - 3.0) < 4.0 * mc.stderr
+
+
+@pytest.mark.parametrize("variant", ["two_stage", "rank_one"])
+def test_mc_sparse_pm_p2_closed_forms(variant):
+    dist = em.sparse_pm(3.0)
+    if variant == "two_stage":
+        x = np.array([1.0, -2.0, 0.5, 0.0])
+        an, mc = (_two_stage_spec(mode, 4, 5, dist=dist, n_resample=1500, seed=23)
+                  for mode in ("analytic", "monte_carlo"))
+    else:
+        x = np.array([[1.0, 0.5], [0.0, -2.0]]).ravel()
+        an, mc = (_rank_one_spec(mode, 2, 2, 3, dist=dist, n_resample=1500, seed=29)
+                  for mode in ("analytic", "monte_carlo"))
+    _mc_matches(an, mc, x, 2)
+
+
+# ---------------------------------------------------------------------------
+# batched semi-norm
+# ---------------------------------------------------------------------------
+
+def _batch(variant):
+    """(spec kwargs, (D, n) columns) for gaussian p=1, where every column
+    has a closed form: rank-one columns are rank-1 matrices."""
+    rng = np.random.default_rng(4)
+    if variant == "two_stage":
+        return dict(variant="two_stage", ambient_dim=6), rng.standard_normal((6, 7))
+    cols = [np.outer(rng.standard_normal(3), rng.standard_normal(2)).ravel() for _ in range(7)]
+    return dict(variant="rank_one", n1=3, n2=2), np.stack(cols, axis=1)
+
+
+@pytest.mark.parametrize("mode", ["analytic", "monte_carlo"])
+@pytest.mark.parametrize("variant", ["two_stage", "rank_one"])
+def test_mu_batch_matches_per_column(mode, variant):
+    kw, X = _batch(variant)
+    spec = ripest.MuNormSpec(mode=mode, dist=em.gaussian(), m=5, n_resample=40, seed=3, **kw)
+    for p in (1, 2):
+        batch = ripest.mu_pnorm(spec, X, p)
+        assert batch.mode == mode
+        assert batch.value.shape == batch.stderr.shape == (X.shape[1],)
+        for j in range(X.shape[1]):
+            one = ripest.mu_pnorm(spec, X[:, j], p)
+            assert isinstance(one.value, float) and isinstance(one.stderr, float)
+            assert abs(batch.value[j] - one.value) < 1e-12
+            assert abs(batch.stderr[j] - one.stderr) < 1e-12
+
+
+def test_mu_auto_reports_resolved_mode():
+    kw, X = _batch("rank_one")
+    spec = ripest.MuNormSpec(mode="auto", dist=em.gaussian(), m=5, n_resample=40, seed=3, **kw)
+    assert ripest.mu_pnorm(spec, X, 1).mode == "analytic"
+    # one rank-2 column has no p=1 closed form, so the whole batch goes Monte-Carlo
+    X = np.concatenate([X, np.eye(3, 2).reshape(6, 1)], axis=1)
+    got = ripest.mu_pnorm(spec, X, 1)
+    want = ripest.mu_pnorm(replace(spec, mode="monte_carlo"), X, 1)
+    assert got.mode == "monte_carlo"
+    np.testing.assert_array_equal(got.value, want.value)
+    assert np.all(got.stderr > 0.0)
+
+
+def test_mu_rank_one_rejects_wrong_length():
+    spec = _rank_one_spec("analytic", 4, 4, 3)
+    with pytest.raises(ValueError, match="n1 x n2"):
+        ripest.mu_pnorm(spec, np.ones(32), 2)
+    with pytest.raises(ValueError, match="n1 x n2"):
+        ripest.mu_pnorm(replace(spec, mode="monte_carlo"), np.ones((32, 3)), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -331,9 +397,9 @@ def test_sweep_rank_one_variant():
 
 
 def test_sweep_auto_mu_falls_back_to_monte_carlo():
-    # sparse plus-minus two-stage has no closed form; auto must not raise
+    # sparse plus-minus two-stage p=1 has no closed form; auto must not raise
     rows = ripest.rip_sweep(
-        ms.Sparse(n=5, k=1), em.sparse_pm(2.0), [4], 2, 3, 2, 13,
+        ms.Sparse(n=5, k=1), em.sparse_pm(2.0), [4], 1, 3, 2, 13,
         n_resample=60,
     )
     assert math.isfinite(rows[0].delta_median)

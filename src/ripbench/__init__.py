@@ -52,11 +52,11 @@ from .haar_fourier import (
 from .model_sets import (
     BoxDimFit,
     CorrelatedSeq,
-    HaarSparse,
     LowRank,
     ModelCollapseError,
     NetResult,
     PointCloud,
+    Secants,
     Sparse,
     boxdim_fit,
     correlated_sequence,

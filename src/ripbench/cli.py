@@ -102,7 +102,7 @@ def _add_common(sp) -> None:
 
 
 def _add_model_flags(sp) -> None:
-    sp.add_argument("--model", choices=("sparse", "lowrank", "haar-sparse", "correlated"))
+    sp.add_argument("--model", choices=("sparse", "lowrank", "correlated"))
     sp.add_argument("--points", default=None, help="point file (.csv with '# dim=' header, or .json)")
     sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--k", type=int, default=None)
@@ -123,9 +123,6 @@ def _model_spec(args):
     if args.model == "lowrank":
         _require(None not in (args.n1, args.n2, args.rank), "--model lowrank requires --n1, --n2, --rank")
         return ms.LowRank(args.n1, args.n2, args.rank)
-    if args.model == "haar-sparse":
-        _require(args.n is not None and args.k is not None, "--model haar-sparse requires --n and --k")
-        return ms.HaarSparse(args.n, args.k)
     if args.model == "correlated":
         _require(None not in (args.r, args.b, args.i_max), "--model correlated requires --r, --b, --i-max")
         return ms.CorrelatedSeq(args.r, args.b, args.i_max)
@@ -140,18 +137,19 @@ def _load_points(path):
     return ms.load_points_csv(path)
 
 
-def _points_for(args) -> list:
+def _points_for(args):
+    """Model points, point-file rows, or secant directions, one per row."""
     if args.points is not None:
         pts = _load_points(args.points)
         if args.secants:
             secs = ms.normalized_secants(pts, count=args.count, seed=child_seed(args.seed, CH_SECANT))
-            return [s.direction for s in secs]
+            return secs.directions.T
         return pts
     spec = _model_spec(args)
     count = args.count if args.count is not None else 200
     if args.secants:
         secs = ms.normalized_secants(spec, count=count, seed=child_seed(args.seed, CH_SECANT))
-        return [s.direction for s in secs]
+        return secs.directions.T
     return ms.sample_model(spec, count, args.seed)
 
 
@@ -287,7 +285,7 @@ def _cmd_rop(args) -> int:
         "abs_mean_analytic": analytic(1),
         "sq_mean": float(vals2.mean()),
         "sq_mean_analytic": analytic(2),
-        "storage_cost": args.m * (n1 + n2),
+        "storage_cost": storage_cost(L),
         "dense_cost": args.m * n1 * n2,
     }
     _emit(_dumps(payload), args.out)
@@ -392,8 +390,7 @@ def _cmd_tails(args) -> int:
         _emit(_dumps(payload), args.out)
         return 0
     spec = _model_spec(args)
-    secs = ms.normalized_secants(spec, count=1, seed=child_seed(args.seed, CH_SECANT))
-    y = secs[0].direction
+    y = ms.normalized_secants(spec, count=1, seed=child_seed(args.seed, CH_SECANT)).directions[:, 0]
     n1, n2 = _map_dims(args, spec)
     fit = tp.increment_tail_fit(
         _dist_spec(args), args.variant.replace("-", "_"), args.m, y, np.zeros_like(y), args.p,

@@ -2,11 +2,12 @@
 
 Generators for the low-dimensional sets an embedding is asked to preserve:
 k-sparse unit vectors, low-rank unit-Frobenius matrices, the correlated
-two-point family x_i = r^i (e_i + b e_0), Haar-sparse coefficient vectors,
-and explicit point clouds.  Companion tools build normalized secant samples
-(unit-normalized differences of model points), farthest-point epsilon nets,
-least-squares box-dimension fits, and the closed-form isometry constants of
-the correlated family.
+two-point family x_i = r^i (e_i + b e_0), and explicit point clouds.  Model
+points are rows of one (count, D) array.  Companion tools build normalized
+secant samples (unit-normalized differences of model points, returned as a
+`Secants` pair of arrays: directions as columns, generating pairs as rows),
+farthest-point epsilon nets, least-squares box-dimension fits, and the
+closed-form isometry constants of the correlated family.
 
 All sampling is reproducible: item i of any Monte-Carlo loop draws from the
 substream (seed, i), so outputs are independent of evaluation order and can
@@ -18,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -28,17 +29,15 @@ __all__ = [
     "Sparse",
     "LowRank",
     "CorrelatedSeq",
-    "HaarSparse",
     "PointCloud",
     "ModelSpec",
-    "SecantSample",
+    "Secants",
     "NetResult",
     "BoxDimFit",
     "AlphaResult",
     "ModelCollapseError",
     "sample_sparse_unit",
     "sample_lowrank_unit",
-    "sample_haar_sparse_unit",
     "correlated_sequence",
     "sample_model",
     "normalized_secants",
@@ -108,45 +107,35 @@ class CorrelatedSeq:
 
 
 @dataclass(frozen=True)
-class HaarSparse:
-    """k-sparse unit vectors of n Haar coefficients (sparsity in the wavelet domain)."""
-
-    n: int
-    k: int
-
-    def __post_init__(self) -> None:
-        if not (1 <= self.k <= self.n):
-            raise ValueError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
-
-
-@dataclass(frozen=True)
 class PointCloud:
-    """Explicit list of ambient vectors."""
+    """Explicit ambient vectors, held as the rows of one (N, D) array."""
 
-    points: tuple
+    points: np.ndarray
 
     def __post_init__(self) -> None:
-        pts = tuple(np.asarray(p, dtype=float) for p in self.points)
-        if not pts:
+        pts = np.array(self.points, dtype=float)  # ragged rows raise ValueError here
+        if len(pts) == 0:
             raise ValueError("empty point cloud")
-        dim = pts[0].shape
-        for p in pts:
-            if p.ndim != 1 or p.shape != dim or p.size == 0:
-                raise ValueError("points must share one positive ambient dimension")
-            if not np.all(np.isfinite(p)):
-                raise ValueError("non-finite coordinates")
+        if pts.ndim != 2 or pts.shape[1] == 0:
+            raise ValueError("points must share one positive ambient dimension")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("non-finite coordinates")
         object.__setattr__(self, "points", pts)
 
 
-ModelSpec = Union[Sparse, LowRank, CorrelatedSeq, HaarSparse, PointCloud]
+ModelSpec = Union[Sparse, LowRank, CorrelatedSeq, PointCloud]
 
 
-@dataclass(frozen=True)
-class SecantSample:
-    """Unit direction (x1 - x2)/||x1 - x2|| with the generating pair recorded."""
+@dataclass(frozen=True, eq=False)
+class Secants:
+    """Normalized secants: column i of `directions` (D, n) is the unit vector
+    (x_a - x_b)/||x_a - x_b|| for the pair (a, b) in row i of `pair_ids` (n, 2)."""
 
-    direction: np.ndarray
-    pair_ids: tuple
+    directions: np.ndarray
+    pair_ids: np.ndarray
+
+    def __len__(self) -> int:
+        return self.pair_ids.shape[0]
 
 
 @dataclass(frozen=True)
@@ -184,16 +173,18 @@ class AlphaResult:
 # samplers
 # ---------------------------------------------------------------------------
 
-def _unit(v: np.ndarray) -> np.ndarray:
-    return v / np.linalg.norm(v)
+def _column_norms(X: np.ndarray) -> np.ndarray:
+    """Column norms, bit-identical to np.linalg.norm of each column alone."""
+    Xt = np.ascontiguousarray(X.T)
+    return np.sqrt(np.vecdot(Xt, Xt))
 
 
-def sample_sparse_unit(n: int, k: int, count: int, seed: int) -> list:
-    """Draw `count` k-sparse unit vectors: uniform support, normal values, normalized."""
+def sample_sparse_unit(n: int, k: int, count: int, seed: int) -> np.ndarray:
+    """Draw `count` k-sparse unit vectors as rows: uniform support, normal values, normalized."""
     Sparse(n, k)
     if count < 1:
         raise ValueError("count >= 1 required")
-    out = []
+    out = np.zeros((count, n))
     for i in range(count):
         rng = substream(seed, i)
         while True:
@@ -202,18 +193,16 @@ def sample_sparse_unit(n: int, k: int, count: int, seed: int) -> list:
             nrm = np.linalg.norm(vals)
             if nrm > 0.0:  # the all-zero draw has probability zero
                 break
-        x = np.zeros(n)
-        x[support] = vals / nrm
-        out.append(x)
+        out[i, support] = vals / nrm
     return out
 
 
-def sample_lowrank_unit(n1: int, n2: int, r: int, count: int, seed: int) -> list:
-    """Unit-Frobenius rank <= r matrices G1 @ G2.T, flattened row-major."""
+def sample_lowrank_unit(n1: int, n2: int, r: int, count: int, seed: int) -> np.ndarray:
+    """Unit-Frobenius rank <= r matrices G1 @ G2.T, flattened row-major into rows."""
     LowRank(n1, n2, r)
     if count < 1:
         raise ValueError("count >= 1 required")
-    out = []
+    out = np.empty((count, n1 * n2))
     for i in range(count):
         rng = substream(seed, i)
         while True:
@@ -223,18 +212,12 @@ def sample_lowrank_unit(n1: int, n2: int, r: int, count: int, seed: int) -> list
             nrm = np.linalg.norm(m)
             if nrm > 0.0:
                 break
-        out.append((m / nrm).reshape(-1))
+        out[i] = (m / nrm).reshape(-1)
     return out
 
 
-def sample_haar_sparse_unit(n: int, k: int, count: int, seed: int) -> list:
-    """Sparse unit vectors in the Haar coefficient domain (same law as sample_sparse_unit)."""
-    HaarSparse(n, k)
-    return sample_sparse_unit(n, k, count, seed)
-
-
-def correlated_sequence(r: float, b: float, i_max: int) -> list:
-    """x_i = r^i (e_i + b e_0) for i = 1..i_max, in ambient dimension i_max + 1.
+def correlated_sequence(r: float, b: float, i_max: int) -> np.ndarray:
+    """Rows x_i = r^i (e_i + b e_0) for i = 1..i_max, in ambient dimension i_max + 1.
 
     Entry 0 holds b r^i and entry i holds r^i, so ||x_i|| = r^i sqrt(1 + b^2)
     and norms decay geometrically with ratio r.
@@ -245,17 +228,15 @@ def correlated_sequence(r: float, b: float, i_max: int) -> list:
         raise ValueError("need b > 0")
     if i_max < 1:
         raise ValueError("need i_max >= 1")
-    out = []
-    for i in range(1, i_max + 1):
-        x = np.zeros(i_max + 1)
-        x[0] = b * r**i
-        x[i] = r**i
-        out.append(x)
+    ri = np.array([r**i for i in range(1, i_max + 1)])
+    out = np.zeros((i_max, i_max + 1))
+    out[:, 0] = b * ri
+    out[np.arange(i_max), np.arange(1, i_max + 1)] = ri
     return out
 
 
-def sample_model(spec: ModelSpec, count: int, seed: int) -> list:
-    """Dispatch a model specification to its sampler.
+def sample_model(spec: ModelSpec, count: int, seed: int) -> np.ndarray:
+    """Dispatch a model specification to its sampler; points are the rows.
 
     PointCloud and CorrelatedSeq are deterministic enumerations; `count` and
     `seed` are ignored for them.
@@ -264,12 +245,10 @@ def sample_model(spec: ModelSpec, count: int, seed: int) -> list:
         return sample_sparse_unit(spec.n, spec.k, count, seed)
     if isinstance(spec, LowRank):
         return sample_lowrank_unit(spec.n1, spec.n2, spec.r, count, seed)
-    if isinstance(spec, HaarSparse):
-        return sample_haar_sparse_unit(spec.n, spec.k, count, seed)
     if isinstance(spec, CorrelatedSeq):
         return correlated_sequence(spec.r, spec.b, spec.i_max)
     if isinstance(spec, PointCloud):
-        return list(spec.points)
+        return spec.points
     raise TypeError(f"unknown model spec {spec!r}")
 
 
@@ -277,27 +256,44 @@ def sample_model(spec: ModelSpec, count: int, seed: int) -> list:
 # normalized secants
 # ---------------------------------------------------------------------------
 
-def _gap_ok(x1: np.ndarray, x2: np.ndarray, min_gap: float) -> float:
-    d = float(np.linalg.norm(x1 - x2))
-    thresh = min_gap * max(float(np.linalg.norm(x1)), float(np.linalg.norm(x2)), 1.0)
-    return d if d > thresh else 0.0
+_COLLAPSE = "rejection rate above 99%: model collapses to a point"
+
+
+def _gaps(x1: np.ndarray, x2: np.ndarray, min_gap: float):
+    """Differences x1 - x2 of paired rows (or of two vectors), their norms, and
+    which pass the gap filter ||x1 - x2|| > min_gap * max(||x1||, ||x2||, 1);
+    a pair of equal points never passes."""
+    diff = x1 - x2
+    gap = _column_norms(diff.T)
+    floor = np.maximum(np.maximum(_column_norms(x1.T), _column_norms(x2.T)), 1.0)
+    return diff, gap, gap > min_gap * floor
+
+
+def _secants(diff: np.ndarray, gap: np.ndarray, keep: np.ndarray, pair_ids: np.ndarray) -> Secants:
+    """The kept rows of diff, divided by their norms, as the columns of a C-ordered array."""
+    directions = np.compress(keep, diff.T, axis=1)
+    directions /= np.compress(keep, gap)
+    return Secants(directions, pair_ids)
 
 
 def normalized_secants(
-    points: Union[Sequence[np.ndarray], ModelSpec, Callable[[int, int], list]],
+    points: Union[Sequence[np.ndarray], np.ndarray, ModelSpec],
     count: int | None = None,
     min_gap: float = 1e-9,
     seed: int = 0,
-) -> list:
+) -> Secants:
     """Unit-normalized differences of model-point pairs.
 
-    With an explicit point list and count=None, every ordered pair passing the
-    gap filter is returned; with a count, pairs are sampled uniformly, item i
-    from substream (seed, i).  With a ModelSpec (or a sampler callable taking
-    (count, seed)), fresh model points are drawn and consecutive draws 2i and
-    2i+1 form pair i; pair_ids then index that draw stream, so the generating
-    points are recoverable from (spec, seed).  A given count must be at least
-    1; a ModelSpec or sampler with count=None yields one secant.
+    With explicit points (a sequence of vectors, the rows of an array, or a
+    CorrelatedSeq or PointCloud, which enumerate theirs) and count=None, every
+    ordered pair (i, j), i != j, passing the gap filter is returned in
+    row-major order of (i, j); with a count, pairs are sampled uniformly, item
+    i from substream (seed, i).  With a Sparse or LowRank spec, fresh model
+    points are drawn and consecutive draws 2i and 2i+1 form candidate pair i;
+    rejected pairs are skipped and the stream extended.  pair_ids then index
+    that draw stream, so the generating points are recoverable from
+    (spec, seed).  A given count must be at least 1; a spec with count=None
+    yields one secant.
 
     Raises ModelCollapseError when more than 99 percent of attempted pairs
     fall below the relative gap threshold.
@@ -307,81 +303,63 @@ def normalized_secants(
     if count is not None and count < 1:
         raise ValueError(f"need count >= 1, got {count}")
 
+    if isinstance(points, (Sparse, LowRank)):
+        return _secants_from_stream(points, 1 if count is None else count, min_gap, seed)
     if isinstance(points, (CorrelatedSeq, PointCloud)):
         points = sample_model(points, 0, seed)  # deterministic finite families
-    elif isinstance(points, (Sparse, LowRank, HaarSparse)):
-        spec = points
-        sampler = lambda c, s: sample_model(spec, c, s)  # noqa: E731
-        return _secants_from_stream(sampler, 1 if count is None else count, min_gap, seed)
-    elif callable(points) and not isinstance(points, Sequence):
-        return _secants_from_stream(points, 1 if count is None else count, min_gap, seed)
-
-    pts = [np.asarray(p, dtype=float) for p in points]
-    if len(pts) < 2:
-        raise ValueError("need at least 2 points")
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or len(pts) < 2:
+        raise ValueError("need at least 2 points of one dimension")
 
     if count is None:
-        out = []
-        for i in range(len(pts)):
-            for j in range(len(pts)):
-                if i == j:
-                    continue
-                d = _gap_ok(pts[i], pts[j], min_gap)
-                if d > 0.0:
-                    out.append(SecantSample(_unit(pts[i] - pts[j]), (i, j)))
-        if not out:
+        a, b = np.nonzero(~np.eye(len(pts), dtype=bool))  # row-major: all j for each i
+        diff, gap, keep = _gaps(pts[a], pts[b], min_gap)
+        if not keep.any():
             raise ModelCollapseError("no pair passed the gap filter")
-        return out
+        return _secants(diff, gap, keep, np.stack([a[keep], b[keep]], axis=1))
 
-    out = []
+    ids = np.empty((count, 2), dtype=np.int64)
     attempts = 0
     for i in range(count):
         rng = substream(seed, i)
         for _ in range(10_000):
             attempts += 1
-            a, b_ = rng.integers(0, len(pts), size=2)
-            if a == b_:
-                continue
-            d = _gap_ok(pts[a], pts[b_], min_gap)
-            if d > 0.0:
-                out.append(SecantSample(_unit(pts[a] - pts[b_]), (int(a), int(b_))))
+            ids[i] = rng.integers(0, len(pts), size=2)
+            if _gaps(pts[ids[i, 0]], pts[ids[i, 1]], min_gap)[2]:
                 break
         else:
-            raise ModelCollapseError("rejection rate above 99%: model collapses to a point")
-        if attempts >= 1000 and len(out) / attempts < 0.01:
-            raise ModelCollapseError("rejection rate above 99%: model collapses to a point")
-    return out
+            raise ModelCollapseError(_COLLAPSE)
+        if attempts >= 1000 and (i + 1) / attempts < 0.01:
+            raise ModelCollapseError(_COLLAPSE)
+    return _secants(*_gaps(pts[ids[:, 0]], pts[ids[:, 1]], min_gap), ids)
 
 
-def _secants_from_stream(sampler, count, min_gap, seed):
-    # consecutive stream items (2i, 2i+1) form candidate pair i; failed pairs
+def _secants_from_stream(spec: ModelSpec, count: int, min_gap: float, seed: int) -> Secants:
+    # consecutive stream items (2i, 2i+1) form candidate pair i; rejected pairs
     # are skipped and the stream extended, keeping item draws order-independent
-    out = []
-    next_idx = 0
-    attempts = 0
-    while len(out) < count:
-        need = count - len(out)
-        pool = sampler(next_idx + 2 * need, seed)
-        while next_idx + 1 < len(pool) and len(out) < count:
-            a, b_ = next_idx, next_idx + 1
-            x1, x2 = np.asarray(pool[a], float), np.asarray(pool[b_], float)
-            next_idx += 2
-            attempts += 1
-            if _gap_ok(x1, x2, min_gap) > 0.0:
-                out.append(SecantSample(_unit(x1 - x2), (a, b_)))
-            elif attempts >= 1000 and len(out) / attempts < 0.01:
-                raise ModelCollapseError("rejection rate above 99%: model collapses to a point")
+    n_kept = attempts = 0
+    while n_kept < count:
+        # the sampler is prefix-stable, so the enlarged pool repeats earlier items
+        pool = sample_model(spec, 2 * (attempts + count - n_kept), seed)
+        diff, gap, keep = _gaps(pool[0::2], pool[1::2], min_gap)
+        # collapse once 1000 or more pairs were tried and under 1 percent passed,
+        # tested at each rejected pair in stream order
+        tried = np.arange(1, len(keep) + 1)
+        if np.any(~keep & (tried >= 1000) & (np.cumsum(keep) / tried < 0.01)):
+            raise ModelCollapseError(_COLLAPSE)
+        n_kept, attempts = int(keep.sum()), len(keep)
         if attempts > 100 * count + 1000:
-            raise ModelCollapseError("rejection rate above 99%: model collapses to a point")
-    return out
+            raise ModelCollapseError(_COLLAPSE)
+    a = 2 * np.flatnonzero(keep)
+    return _secants(diff, gap, keep, np.stack([a, a + 1], axis=1))
 
 
 # ---------------------------------------------------------------------------
 # nets and box dimension
 # ---------------------------------------------------------------------------
 
-def greedy_net(points: Sequence[np.ndarray], eps: float) -> NetResult:
-    """Farthest-point greedy epsilon net with centers among the input points.
+def greedy_net(points: Union[Sequence[np.ndarray], np.ndarray], eps: float) -> NetResult:
+    """Farthest-point greedy epsilon net with centers among the input points (rows).
 
     Starts at index 0 and repeatedly adds the point farthest from the current
     centers (lowest index on ties) until every point sits within eps of some
@@ -390,7 +368,7 @@ def greedy_net(points: Sequence[np.ndarray], eps: float) -> NetResult:
     """
     if eps <= 0.0:
         raise ValueError("eps > 0 required")
-    pts = np.asarray([np.asarray(p, float) for p in points])
+    pts = np.ascontiguousarray(points, dtype=float)
     if pts.size == 0:
         raise ValueError("points nonempty required")
     n = pts.shape[0]

@@ -30,7 +30,7 @@ from .embeddings import (
     rank_one_map,
     two_stage_map,
 )
-from .model_sets import ModelSpec, SecantSample, normalized_secants
+from .model_sets import ModelSpec, Secants, _column_norms, normalized_secants
 
 __all__ = [
     "MuNormSpec",
@@ -84,6 +84,8 @@ class MuNormSpec:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.m < 1:
             raise ValueError("need m >= 1")
+        if self.n_resample < 1:
+            raise ValueError(f"need n_resample >= 1, got {self.n_resample}")
 
 
 @dataclass(frozen=True)
@@ -96,7 +98,8 @@ class MuNorm:
 @dataclass(frozen=True)
 class RipReport:
     delta_p: float
-    witness: SecantSample
+    witness_direction: np.ndarray   # the secant attaining delta_p
+    witness_pair_ids: tuple
     under_delta: float
     bar_delta: float
     m: int
@@ -124,12 +127,6 @@ def pnorm_p(z: np.ndarray, p: int) -> float:
     if p == 2:
         return float(np.sum(z * z))
     raise ValueError(f"p must be 1 or 2, got {p}")
-
-
-def _column_norms(X: np.ndarray) -> np.ndarray:
-    """Column norms, bit-identical to np.linalg.norm of each column alone."""
-    Xt = np.ascontiguousarray(X.T)
-    return np.sqrt(np.vecdot(Xt, Xt))
 
 
 def _column_pnorms(Z: np.ndarray, p: int) -> np.ndarray:
@@ -223,7 +220,7 @@ def mu_pnorm(spec: MuNormSpec, x, p: int) -> MuNorm:
 
 def empirical_delta(
     L: MeasurementMap,
-    secants: Sequence[SecantSample],
+    secants: Secants,
     p: int,
     mu: Sequence[float],
 ) -> RipReport:
@@ -234,15 +231,15 @@ def empirical_delta(
     """
     if len(mu) != len(secants):
         raise ValueError("need one mu value per secant")
-    if not secants:
+    if len(secants) == 0:
         raise ValueError("need at least one secant")
     mu_arr = np.asarray(mu, dtype=float)
-    measured = _measured_pnorms(L, secants, p)
-    devs = np.abs(measured - mu_arr)
+    devs = np.abs(_column_pnorms(apply_columns(L, secants.directions), p) - mu_arr)
     idx = int(np.argmax(devs))
     return RipReport(
         delta_p=float(devs[idx]),
-        witness=secants[idx],
+        witness_direction=secants.directions[:, idx],
+        witness_pair_ids=tuple(int(i) for i in secants.pair_ids[idx]),
         under_delta=float(mu_arr.min()),
         bar_delta=float(mu_arr.max()),
         m=L.m,
@@ -253,18 +250,9 @@ def empirical_delta(
     )
 
 
-def _stack(secants: Sequence[SecantSample]) -> np.ndarray:
-    return np.stack([s.direction for s in secants], axis=1)
-
-
-def _measured_pnorms(L: MeasurementMap, secants: Sequence[SecantSample], p: int) -> np.ndarray:
-    """||L(x)||_p^p for every secant, through one batched apply."""
-    return _column_pnorms(apply_columns(L, _stack(secants)), p)
-
-
-def delta_extremes(spec: MuNormSpec, secants: Sequence[SecantSample], p: int):
+def delta_extremes(spec: MuNormSpec, secants: Secants, p: int):
     """(min, max) of the semi-norm over the sampled secants."""
-    vals = mu_pnorm(spec, _stack(secants), p).value
+    vals = mu_pnorm(spec, secants.directions, p).value
     return float(vals.min()), float(vals.max())
 
 
@@ -290,13 +278,13 @@ def rip_sweep(
     every (m, trial) cell; the map for trial t at size m comes from substream
     (seed, map channel, m, t), so rows are reproducible cell by cell.
     """
-    for name, count in (("trials", trials), ("n_secants", n_secants)):
+    for name, count in (("trials", trials), ("n_secants", n_secants), ("threads", threads)):
         if count < 1:
             raise ValueError(f"need {name} >= 1, got {count}")
     m_list = [int(m) for m in m_list]
     if not m_list or any(m_list[i] >= m_list[i + 1] for i in range(len(m_list) - 1)):
         raise ValueError("m_list must be nonempty and strictly ascending")
-    X = _stack(normalized_secants(model, count=n_secants, seed=child_seed(seed, CH_SECANT)))
+    X = normalized_secants(model, count=n_secants, seed=child_seed(seed, CH_SECANT)).directions
     rows = []
     for m in m_list:
         spec_m = MuNormSpec(
@@ -327,8 +315,8 @@ def rip_report_to_json(r: RipReport) -> str:
     payload = {
         "delta_p": r.delta_p,
         "witness": {
-            "direction": [float(v) for v in r.witness.direction],
-            "pair_ids": list(r.witness.pair_ids),
+            "direction": [float(v) for v in r.witness_direction],
+            "pair_ids": list(r.witness_pair_ids),
         },
         "under_delta": r.under_delta,
         "bar_delta": r.bar_delta,

@@ -174,7 +174,7 @@ def test_c10_moment_machinery():
 
 def test_c11_covering():
     secs = ms.normalized_secants(ms.Sparse(n=8, k=1), count=400, seed=77)
-    dirs = [s.direction for s in secs]
+    dirs = secs.directions.T
     for eps in (0.5, 0.25):
         net = ms.greedy_net(dirs, eps)
         centers = np.stack(net.centers)

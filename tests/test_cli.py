@@ -167,11 +167,9 @@ def test_rip_sweep_json_rows(capsys):
     assert got["config"]["mu"] == "auto"
 
 
-@pytest.mark.parametrize("flag", ["--trials", "--n-secants"])
+@pytest.mark.parametrize("flag", ["--trials", "--n-secants", "--n-resample", "--threads"])
 def test_rip_sweep_zero_count_exits_2(capsys, flag):
-    argv = list(SWEEP_ARGS)
-    argv[argv.index(flag) + 1] = "0"
-    rc, out, err = run(capsys, *argv)
+    rc, out, err = run(capsys, *SWEEP_ARGS, flag, "0")  # the last occurrence of a flag wins
     assert rc == 2
     assert out == ""
     rec = json.loads(err)
@@ -192,6 +190,22 @@ def test_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True).stdout
     assert out.strip() == "False"
+
+
+def test_bench_tracing_targets_resolve():
+    # a traced function renamed or moved would leave its per-layer metrics at 0
+    import importlib
+    import importlib.util
+    import inspect
+
+    path = Path(__file__).parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TARGETS
+    for mod, name in tracing.TARGETS:
+        fn = getattr(importlib.import_module("ripbench." + mod), name, None)
+        assert inspect.isfunction(fn), f"ripbench.{mod}.{name}"
 
 
 def test_rip_sweep_threads_value_identical(capsys):

@@ -42,6 +42,7 @@ def test_sparse_support_pairs_uniform():
 def test_sparse_per_item_substreams_order_independent():
     a = ms.sample_sparse_unit(16, 3, 10, seed=9)
     b = ms.sample_sparse_unit(16, 3, 20, seed=9)
+    assert a.shape == (10, 16) and b.shape == (20, 16)
     for x, y in zip(a, b[:10]):
         np.testing.assert_array_equal(x, y)
 
@@ -90,21 +91,21 @@ def test_correlated_inner_products_and_decay():
 def test_secants_single_pair():
     e1 = np.array([1.0, 0.0])
     secs = ms.normalized_secants([e1, -e1])
-    dirs = {tuple(np.round(s.direction, 12)) for s in secs}
+    dirs = {tuple(np.round(d, 12)) for d in secs.directions.T}
     assert dirs == {(1.0, 0.0), (-1.0, 0.0)}
 
 
 def test_secants_two_points():
     pts = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
-    for s in ms.normalized_secants(pts):
-        assert np.allclose(np.abs(s.direction), [math.sqrt(0.5)] * 2)
-        assert abs(np.linalg.norm(s.direction) - 1.0) < 1e-12
+    for d in ms.normalized_secants(pts).directions.T:
+        assert np.allclose(np.abs(d), [math.sqrt(0.5)] * 2)
+        assert abs(np.linalg.norm(d) - 1.0) < 1e-12
 
 
 def test_secants_match_bruteforce_enumeration():
     pts = [np.array(v, dtype=float) for v in ((1, 0), (-1, 0), (0, 1), (0, -1))]
     secs = ms.normalized_secants(pts)
-    got = {tuple(np.round(s.direction, 10)) for s in secs}
+    got = {tuple(np.round(d, 10)) for d in secs.directions.T}
     want = set()
     for a, b in itertools.permutations(range(4), 2):
         d = pts[a] - pts[b]
@@ -113,18 +114,41 @@ def test_secants_match_bruteforce_enumeration():
     assert len(secs) == 12
 
 
+def _assert_exact_secants(secs, pts):
+    # each column is exactly the normalized difference of its recorded pair
+    assert secs.directions.shape == (pts.shape[1], len(secs))
+    assert secs.pair_ids.shape == (len(secs), 2)
+    for d, (a, b) in zip(secs.directions.T, secs.pair_ids):
+        diff = pts[a] - pts[b]
+        np.testing.assert_array_equal(d, diff / np.linalg.norm(diff))
+
+
 def test_secants_pair_ids_recheck():
     pts = ms.sample_sparse_unit(6, 2, 30, seed=4)
-    for s in ms.normalized_secants(pts, count=40, seed=8):
-        d = pts[s.pair_ids[0]] - pts[s.pair_ids[1]]
-        np.testing.assert_allclose(s.direction, d / np.linalg.norm(d), atol=1e-12)
+    secs = ms.normalized_secants(pts, count=40, seed=8)
+    assert len(secs) == 40
+    _assert_exact_secants(secs, pts)
+
+
+def test_secants_stream_topped_up_after_rejections():
+    # Sparse(2, 1) draws +-e1, +-e2, so a quarter of consecutive pairs repeat a
+    # point and are rejected; the stream is extended until 300 pairs pass
+    secs = ms.normalized_secants(ms.Sparse(2, 1), count=300, seed=5)
+    a, b = secs.pair_ids.T
+    assert len(secs) == 300
+    assert np.all(a % 2 == 0) and np.all(b == a + 1) and np.all(np.diff(a) > 0)
+    assert a[-1] > 2 * 299  # some pairs were rejected and replaced
+    _assert_exact_secants(secs, ms.sample_sparse_unit(2, 1, b[-1] + 1, seed=5))
+    small = ms.normalized_secants(ms.Sparse(2, 1), count=100, seed=5)
+    np.testing.assert_array_equal(small.directions, secs.directions[:, :100])
+    np.testing.assert_array_equal(small.pair_ids, secs.pair_ids[:100])
 
 
 def test_secants_from_model_spec_unit_norm():
     secs = ms.normalized_secants(ms.Sparse(16, 2), count=50, seed=7)
     assert len(secs) == 50
-    for s in secs:
-        assert abs(np.linalg.norm(s.direction) - 1.0) < 1e-12
+    for d in secs.directions.T:
+        assert abs(np.linalg.norm(d) - 1.0) < 1e-12
 
 
 def test_secants_zero_count_rejected():

@@ -266,9 +266,9 @@ def test_delta_witness_is_argmax_and_sandwich_holds():
     L = em.two_stage_map(None, em.gaussian(), 8, p=2, seed=21, ambient_dim=n)
     mu = [1.0] * len(secants)
     rep = ripest.empirical_delta(L, secants, 2, mu)
-    devs = [abs(ripest.pnorm_p(em.apply(L, s.direction), 2) - 1.0) for s in secants]
+    devs = [abs(ripest.pnorm_p(em.apply(L, d), 2) - 1.0) for d in secants.directions.T]
     assert abs(rep.delta_p - max(devs)) < 1e-12
-    wit_dev = abs(ripest.pnorm_p(em.apply(L, rep.witness.direction), 2) - 1.0)
+    wit_dev = abs(ripest.pnorm_p(em.apply(L, rep.witness_direction), 2) - 1.0)
     assert abs(wit_dev - rep.delta_p) < 1e-12
     # every secant deviation is dominated by the reported maximum
     assert all(d <= rep.delta_p + 1e-12 for d in devs)
@@ -279,7 +279,8 @@ def test_delta_monotone_in_sample():
     secants = ms.normalized_secants(ms.Sparse(n=n, k=2), count=50, seed=9)
     L = em.two_stage_map(None, em.gaussian(), 6, p=1, seed=13, ambient_dim=n)
     mu = [math.sqrt(2.0 / math.pi)] * len(secants)
-    d_small = ripest.empirical_delta(L, secants[:20], 1, mu[:20]).delta_p
+    head = ms.Secants(secants.directions[:, :20], secants.pair_ids[:20])
+    d_small = ripest.empirical_delta(L, head, 1, mu[:20]).delta_p
     d_full = ripest.empirical_delta(L, secants, 1, mu).delta_p
     assert d_small <= d_full + 1e-15
 
@@ -291,7 +292,7 @@ def test_delta_rank_one_variant_path():
     L = em.rank_one_map(m, n1, n2, em.gaussian(), seed=8)
     mu = [1.0 / m] * len(secants)  # gaussian rank-one p=2 on unit-Frobenius secants
     rep = ripest.empirical_delta(L, secants, 2, mu)
-    hand = max(abs(ripest.pnorm_p(em.apply(L, s.direction), 2) - 1.0 / m) for s in secants)
+    hand = max(abs(ripest.pnorm_p(em.apply(L, d), 2) - 1.0 / m) for d in secants.directions.T)
     assert abs(rep.delta_p - hand) < 1e-15
 
 
@@ -301,7 +302,8 @@ def test_delta_input_validation():
     with pytest.raises(ValueError):
         ripest.empirical_delta(_identity_map(n), secants, 2, [1.0] * 3)
     with pytest.raises(ValueError):
-        ripest.empirical_delta(_identity_map(n), [], 2, [])
+        empty = ms.Secants(np.zeros((n, 0)), np.zeros((0, 2), dtype=np.int64))
+        ripest.empirical_delta(_identity_map(n), empty, 2, [])
 
 
 def test_delta_extremes_unit_secants():
@@ -312,9 +314,8 @@ def test_delta_extremes_unit_secants():
 
 def test_delta_extremes_sees_spread():
     # hand-built secants of different lengths separate the extremes
-    a = ms.SecantSample(direction=np.array([2.0, 0.0]), pair_ids=(0, 1))
-    b = ms.SecantSample(direction=np.array([0.0, 0.5]), pair_ids=(0, 2))
-    lo, hi = ripest.delta_extremes(_two_stage_spec("analytic", 2, 4), [a, b], 2)
+    secants = ms.Secants(np.array([[2.0, 0.0], [0.0, 0.5]]), np.array([[0, 1], [0, 2]]))
+    lo, hi = ripest.delta_extremes(_two_stage_spec("analytic", 2, 4), secants, 2)
     assert abs(lo - 0.25) < 1e-12 and abs(hi - 4.0) < 1e-12
 
 
@@ -363,8 +364,8 @@ def test_sweep_rejects_zero_counts():
 def test_batched_rank_one_pnorms_match_per_secant_apply(p):
     secants = ms.normalized_secants(ms.LowRank(4, 5, 1), count=30, seed=3)
     L = em.rank_one_map(40, 4, 5, em.gaussian(), seed=11)
-    got = ripest._measured_pnorms(L, secants, p)
-    want = [ripest.pnorm_p(em.apply(L, s.direction), p) for s in secants]
+    got = ripest._column_pnorms(em.apply_columns(L, secants.directions), p)
+    want = [ripest.pnorm_p(em.apply(L, d), p) for d in secants.directions.T]
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
 

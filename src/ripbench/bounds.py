@@ -43,7 +43,7 @@ ROP_PSI1_CONST = 2.0 ** 1.5 / math.e  # 2^{3/2} e^{-1} ~ 1.0398
 
 
 def _check_core(s: float, eps_S: float, xi: float) -> None:
-    if s < 1.0:
+    if not s >= 1.0:
         raise ValueError(f"need s >= 1, got {s}")
     if not (0.0 < eps_S < 0.5):
         raise ValueError(f"need eps_S in (0, 1/2), got {eps_S}")
@@ -74,13 +74,13 @@ class BoundInputs:
         _check_core(self.s, self.eps_S, self.xi)
         if not (0.0 < self.delta < 1.0):
             raise ValueError(f"need delta in (0, 1), got {self.delta}")
-        if self.c1 <= 0.0 or self.c2 <= 0.0:
+        if not (self.c1 > 0.0 and self.c2 > 0.0):
             raise ValueError("need c1, c2 > 0 (math.inf allowed)")
         if math.isinf(self.c1) and math.isinf(self.c2):
             raise ValueError("c1 and c2 cannot both be infinite: one regime must fire")
-        if self.Lambda <= 0.0:
+        if not self.Lambda > 0.0:
             raise ValueError("need Lambda > 0")
-        if self.C_abs <= 0.0:
+        if not self.C_abs > 0.0:
             raise ValueError("need C_abs > 0")
 
 
@@ -174,8 +174,8 @@ def m_two_stage_raw(
     p: int, Lambda: float, s: float, eps_S: float, delta: float, xi: float, C_abs: float = 1.0
 ) -> float:
     """Pre-ceiling two-stage bound; C_abs defaults to 1 (result per unit constant)."""
-    if Lambda <= 0.0:
-        raise ValueError("need Lambda > 0")
+    if not (Lambda > 0.0 and C_abs > 0.0):
+        raise ValueError("need Lambda, C_abs > 0")
     _check_core(s, eps_S, xi)
     if not (0.0 < delta < 1.0):
         raise ValueError("need delta in (0, 1)")
@@ -201,7 +201,7 @@ def concentration_constants(p: int, Lambda: float, c_abs: float = 1.0):
     p=1: (c1, c2) = (c/(4 Lambda^2), c/(2 Lambda)), crossover c2/c1 = 2 Lambda.
     p=2: (c1, c2) = (c/(64 Lambda^4), c/(8 Lambda^2)), crossover 8 Lambda^2.
     """
-    if Lambda <= 0.0 or c_abs <= 0.0:
+    if not (Lambda > 0.0 and c_abs > 0.0):
         raise ValueError("need Lambda, c_abs > 0")
     if p == 1:
         c1 = c_abs / (4.0 * Lambda * Lambda)
@@ -297,23 +297,23 @@ def _log_moment_fn(moments_2k):
 
 def rop_psi1_bound(alpha: float, frobenius_norm: float) -> float:
     """Subexponential-norm bound 2^{3/2} e^{-1} alpha^2 ||M||_F for a^T M b."""
-    if alpha < 0.0 or frobenius_norm < 0.0:
+    if not (alpha >= 0.0 and frobenius_norm >= 0.0):
         raise ValueError("inputs must be >= 0")
     return ROP_PSI1_CONST * alpha * alpha * frobenius_norm
 
 
 def abs_mean_lower(C_psi: float) -> float:
     """Multiplier 1/(2 e^3 C (1 + log C)) in the lower bound on E|a^T x| / ||x||."""
-    if C_psi < 2.0:
+    if not C_psi >= 2.0:
         raise ValueError("need C_psi >= 2")
     return 1.0 / (2.0 * math.e**3 * C_psi * (1.0 + math.log(C_psi)))
 
 
 def sparse_rop_delta1_floor(q: float, D_param: float) -> float:
     """Floor D/(q (1 + log q)) on the smallest mean measurement magnitude, q >= 2."""
-    if q < 2.0:
+    if not q >= 2.0:
         raise ValueError("need q >= 2")
-    if D_param <= 0.0:
+    if not D_param > 0.0:
         raise ValueError("need D_param > 0")
     return D_param / (q * (1.0 + math.log(q)))
 

@@ -10,9 +10,13 @@ same config in single-thread mode.  Exit codes: 0 success, 2 config error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import os
 import sys
+from functools import partial
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -31,26 +35,31 @@ SEED_ENV = "RIPBENCH_SEED"
 # plumbing
 # ---------------------------------------------------------------------------
 
-def _json_default(o):
+class Report(NamedTuple):
+    """What a subcommand computed: its report fields, its CSV body where a CSV
+    form exists (built only when asked for), and its exit code."""
+
+    fields: dict
+    csv: Optional[Callable[[], str]] = None
+    code: int = 0
+
+
+def _plain(o):
+    """o with numpy values as Python ones and +inf as the string "inf"."""
+    if isinstance(o, dict):
+        return {k: _plain(v) for k, v in o.items()}
+    if isinstance(o, (list, tuple, np.ndarray)):
+        return [_plain(v) for v in o]
     if isinstance(o, np.integer):
         return int(o)
-    if isinstance(o, np.floating):
-        return float(o)
-    if isinstance(o, np.ndarray):
-        return o.tolist()
-    raise TypeError(f"not JSON-serializable: {type(o)}")
+    if isinstance(o, (float, np.floating)):
+        return "inf" if o == math.inf else float(o)
+    return o
 
 
 def _dumps(payload) -> str:
-    return json.dumps(payload, default=_json_default)
-
-
-def _emit(text: str, out) -> None:
-    if out in (None, "-"):
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
-    else:
-        with open(out, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+    # strict JSON: a NaN or -inf left in a report raises ValueError (exit 2)
+    return json.dumps(_plain(payload), allow_nan=False)
 
 
 def _fail(code: int, kind: str, message: str) -> int:
@@ -64,12 +73,25 @@ def _config_dict(args) -> dict:
     return {k: cfg[k] for k in sorted(cfg)}
 
 
+def _number(tok: str, allow_inf: bool = False) -> float:
+    """The one parse type of float flags: NaN is refused, and so is an infinity
+    unless the flag gives it a meaning."""
+    try:
+        x = float(tok)
+    except ValueError:
+        x = math.nan
+    if math.isnan(x) or (math.isinf(x) and not allow_inf):
+        kind = "number" if allow_inf else "finite number"
+        raise argparse.ArgumentTypeError(f"expected a {kind}, got {tok!r}")
+    return x
+
+
 def _int_list(s: str):
     return [int(tok) for tok in s.split(",") if tok.strip()]
 
 
 def _float_list(s: str):
-    return [float(tok) for tok in s.split(",") if tok.strip()]
+    return [_number(tok) for tok in s.split(",") if tok.strip()]
 
 
 def _resolve_seed(args, argv) -> None:
@@ -96,27 +118,30 @@ def _require(cond: bool, message: str) -> None:
 def _add_common(sp) -> None:
     sp.add_argument("--seed", type=int, default=None, help="RNG seed; env %s overrides the default" % SEED_ENV)
     sp.add_argument("--out", default=None, help="output path (default stdout)")
-    sp.add_argument("--format", choices=("json", "csv"), default="json")
-    sp.add_argument("--threads", type=int, default=1, help="worker threads (rip-sweep only)")
     sp.add_argument("--config", default=None, help="JSON file of flag defaults; explicit flags win")
 
 
-def _add_model_flags(sp) -> None:
+def _add_model_flags(sp, points: bool = True) -> None:
     sp.add_argument("--model", choices=("sparse", "lowrank", "correlated"))
-    sp.add_argument("--points", default=None, help="point file (.csv with '# dim=' header, or .json)")
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--k", type=int, default=None)
-    sp.add_argument("--n1", type=int, default=None)
-    sp.add_argument("--n2", type=int, default=None)
-    sp.add_argument("--rank", type=int, default=None)
-    sp.add_argument("--r", type=float, default=None)
-    sp.add_argument("--b", type=float, default=None)
-    sp.add_argument("--i-max", type=int, default=None)
+    if points:
+        sp.add_argument("--points", default=None, help="point file (.csv with '# dim=' header, or .json)")
+    for flag in ("--n", "--k", "--n1", "--n2", "--rank", "--i-max"):
+        sp.add_argument(flag, type=int, default=None)
+    sp.add_argument("--r", type=_number, default=None)
+    sp.add_argument("--b", type=_number, default=None)
+
+
+def _add_sample_flags(sp) -> None:
+    """Model samples or point-file rows, optionally as secants: net and boxdim."""
+    _add_model_flags(sp)
     sp.add_argument("--count", type=int, default=None, help="samples (default 200; for --secants on a point file: all pairs)")
     sp.add_argument("--secants", action="store_true", help="use normalized secant directions instead of raw points")
 
 
 def _model_spec(args):
+    """The --model spec, or the --points file as a point cloud."""
+    if getattr(args, "points", None) is not None:
+        return ms.PointCloud(_load_points(args.points))
     if args.model == "sparse":
         _require(args.n is not None and args.k is not None, "--model sparse requires --n and --k")
         return ms.Sparse(args.n, args.k)
@@ -126,72 +151,46 @@ def _model_spec(args):
     if args.model == "correlated":
         _require(None not in (args.r, args.b, args.i_max), "--model correlated requires --r, --b, --i-max")
         return ms.CorrelatedSeq(args.r, args.b, args.i_max)
-    raise ValueError("supply --model or --points")
+    raise ValueError("supply --model or --points" if "points" in vars(args) else "supply --model")
 
 
 def _load_points(path):
-    with open(path) as fh:
-        text = fh.read()
     if path.endswith(".json"):
-        return ms.points_from_json(text)
+        with open(path) as fh:
+            return ms.points_from_json(fh.read())
     return ms.load_points_csv(path)
 
 
 def _points_for(args):
-    """Model points, point-file rows, or secant directions, one per row."""
-    if args.points is not None:
-        pts = _load_points(args.points)
-        if args.secants:
-            secs = ms.normalized_secants(pts, count=args.count, seed=child_seed(args.seed, CH_SECANT))
-            return secs.directions.T
-        return pts
+    """Model samples, point-file rows, or their secant directions, one per row."""
     spec = _model_spec(args)
-    count = args.count if args.count is not None else 200
+    # a point file gives all its points, or all pairs as secants, unless --count
+    count = 200 if args.count is None and args.points is None else args.count
     if args.secants:
-        secs = ms.normalized_secants(spec, count=count, seed=child_seed(args.seed, CH_SECANT))
-        return secs.directions.T
+        return ms.normalized_secants(spec, count=count, seed=child_seed(args.seed, CH_SECANT)).directions.T
     return ms.sample_model(spec, count, args.seed)
 
 
-def _csv_with_config(body: str, args) -> str:
-    # trailing comment keeps the documented header on line 1
-    return body.rstrip("\n") + "\n# config: " + _dumps(_config_dict(args)) + "\n"
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its Report; main adds the header and writes it
 # ---------------------------------------------------------------------------
 
-def _cmd_net(args) -> int:
+def _cmd_net(args) -> Report:
     _require(args.eps is not None, "net requires --eps")
     points = _points_for(args)
     net = ms.greedy_net(points, args.eps)
-    if args.format == "csv":
+
+    def csv():
         dim = net.centers[0].size
-        lines = [f"# dim={dim}"] + [",".join(f"{v:.17g}" for v in c) for c in net.centers]
-        _emit(_csv_with_config("\n".join(lines), args), args.out)
-        return 0
-    payload = {
-        "subcommand": "net",
-        "config": _config_dict(args),
-        "n_points": len(points),
-        **json.loads(ms.net_result_to_json(net)),
-    }
-    _emit(_dumps(payload), args.out)
-    return 0
+        return "\n".join([f"# dim={dim}"] + [",".join(f"{v:.17g}" for v in c) for c in net.centers])
+
+    return Report({"n_points": len(points), **json.loads(ms.net_result_to_json(net))}, csv)
 
 
-def _cmd_boxdim(args) -> int:
+def _cmd_boxdim(args) -> Report:
     _require(args.eps_grid is not None, "boxdim requires --eps-grid")
-    points = _points_for(args)
-    fit = ms.boxdim_fit(points, args.eps_grid)
-    if args.format == "csv":
-        lines = ["eps,count"] + [f"{e:.17g},{c}" for e, c in zip(fit.eps_grid, fit.counts)]
-        _emit(_csv_with_config("\n".join(lines), args), args.out)
-        return 0
-    payload = {
-        "subcommand": "boxdim",
-        "config": _config_dict(args),
+    fit = ms.boxdim_fit(_points_for(args), args.eps_grid)
+    fields = {
         "slope": fit.slope,
         "intercept": fit.intercept,
         "eps_grid": list(fit.eps_grid),
@@ -199,14 +198,12 @@ def _cmd_boxdim(args) -> int:
         "residual": fit.residual,
         "monotone": fit.monotone,
     }
-    _emit(_dumps(payload), args.out)
-    return 0
+    rows = [f"{e:.17g},{c}" for e, c in zip(fit.eps_grid, fit.counts)]
+    return Report(fields, lambda: "\n".join(["eps,count"] + rows))
 
 
 def _dist_spec(args) -> DistSpec:
-    if args.dist == "gaussian":
-        return gaussian()
-    return sparse_pm(args.q)
+    return gaussian() if args.dist == "gaussian" else sparse_pm(args.q)
 
 
 def _map_dims(args, spec) -> tuple:
@@ -220,12 +217,9 @@ def _map_dims(args, spec) -> tuple:
     return n1, n2
 
 
-def _cmd_rip_sweep(args) -> int:
+def _cmd_rip_sweep(args) -> Report:
     _require(args.m_list is not None, "rip-sweep requires --m-list")
-    if args.points is not None:
-        spec = ms.PointCloud(_load_points(args.points))
-    else:
-        spec = _model_spec(args)
+    spec = _model_spec(args)
     variant = args.variant.replace("-", "_")
     n1, n2 = _map_dims(args, spec)
     mu_mode = {"auto": "auto", "analytic": "analytic", "mc": "monte_carlo"}[args.mu]
@@ -234,20 +228,10 @@ def _cmd_rip_sweep(args) -> int:
         args.seed, variant=variant, n1=n1, n2=n2, mu_mode=mu_mode,
         n_resample=args.n_resample, threads=args.threads,
     )
-    if args.format == "csv":
-        _emit(_csv_with_config(re_.sweep_rows_to_csv(rows), args), args.out)
-        return 0
-    payload = {
-        "subcommand": "rip-sweep",
-        "config": _config_dict(args),
-        "rows": json.loads(re_.sweep_rows_to_json(rows)),
-    }
-    _emit(_dumps(payload), args.out)
-    return 0
+    return Report({"rows": json.loads(re_.sweep_rows_to_json(rows))}, lambda: re_.sweep_rows_to_csv(rows))
 
 
-def _cmd_rop(args) -> int:
-    _require(args.format == "json", "rop emits JSON only")
+def _cmd_rop(args) -> Report:
     _require(args.trials >= 2, f"rop needs trials >= 2 for a standard deviation, got {args.trials}")
     n1, n2 = args.n1, args.n2
     _require(n1 >= 1 and n2 >= 1, f"rop needs n1, n2 >= 1, got {n1}, {n2}")
@@ -276,9 +260,7 @@ def _cmd_rop(args) -> int:
         except re_.UnsupportedAnalyticError:
             return None
 
-    payload = {
-        "subcommand": "rop",
-        "config": _config_dict(args),
+    return Report({
         "frobenius": fro,
         "abs_mean": float(vals1.mean()),
         "abs_mean_std": float(vals1.std(ddof=1)),
@@ -287,133 +269,80 @@ def _cmd_rop(args) -> int:
         "sq_mean_analytic": analytic(2),
         "storage_cost": storage_cost(L),
         "dense_cost": args.m * n1 * n2,
-    }
-    _emit(_dumps(payload), args.out)
-    return 0
+    })
 
 
-def _cmd_haar_fourier(args) -> int:
+def _cmd_haar_fourier(args) -> Report:
     _require(args.n is not None, "haar-fourier requires --n")
     if args.d_freq is not None:
         u = hf.build_u_block(args.d_freq, args.n)
-        res = hf.balancing_residual(u)
-        if args.format == "csv":
-            _emit(_csv_with_config(hf.ublock_to_csv(u), args), args.out)
-            return 0
-        payload = {
-            "subcommand": "haar-fourier",
-            "config": _config_dict(args),
-            "n": args.n,
-            "d_freq": args.d_freq,
-            "residual": res,
-        }
-        _emit(_dumps(payload), args.out)
-        return 0
+        fields = {"n": args.n, "d_freq": args.d_freq, "residual": hf.balancing_residual(u)}
+        return Report(fields, lambda: hf.ublock_to_csv(u))
     _require(args.eps_star is not None, "supply --eps-star (min-d search) or --d-freq (fixed block)")
     _require(args.format == "json", "min-d search emits JSON only")
     res = hf.min_d_for_eps(args.n, args.eps_star, d_max=args.d_max)
-    payload = {
-        "subcommand": "haar-fourier",
-        "config": _config_dict(args),
-        **json.loads(hf.min_d_to_json(res)),
-    }
-    _emit(_dumps(payload), args.out)
-    return 0 if res.found else 3
+    return Report(json.loads(hf.min_d_to_json(res)), code=0 if res.found else 3)
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args) -> Report:
     _require(None not in (args.s, args.eps_s, args.delta, args.xi),
              "bounds requires --s, --eps-s, --delta, --xi")
-    c_abs = args.c_abs if args.c_abs is not None else (3200.0 if args.theorem == 1 else 1.0)
-    args.c_abs = c_abs  # resolved value lands in the recorded config
+    if args.c_abs is None:  # the resolved value lands in the recorded config
+        args.c_abs = 3200.0 if args.theorem == 1 else 1.0
+    c_abs, lam = args.c_abs, args.lam
     inputs = bd.BoundInputs(
         s=args.s, eps_S=args.eps_s, delta=args.delta, xi=args.xi,
-        c1=args.c1, c2=args.c2, Lambda=getattr(args, "lam"), C_abs=c_abs,
+        c1=args.c1, c2=args.c2, Lambda=lam, C_abs=c_abs,
     )
-    sums = bd.chaining_sums(args.s, args.eps_s, args.xi, args.j_max)
-    sums_payload = {
-        "S1": sums.S1, "S2": sums.S2, "S3": sums.S3,
-        "S1_bound": sums.S1_bound, "S2_bound": sums.S2_bound, "S3_bound": sums.S3_bound,
-        "j_max": sums.j_max,
-        "remainder_S2": sums.remainder_S2, "remainder_S3": sums.remainder_S3,
-    }
+    sums = dataclasses.asdict(bd.chaining_sums(args.s, args.eps_s, args.xi, args.j_max))
     if args.theorem == 1:
         rep = bd.bound_report(inputs, p=args.p, j_max=args.j_max)
-        payload = {
-            "subcommand": "bounds",
-            "config": _config_dict(args),
-            "theorem": 1,
-            "m_required": rep.m_required,
-            "m_raw": rep.m_raw,
-            "constants": {"c1": rep.c1, "c2": rep.c2, "crossover": rep.crossover,
-                          "C_abs": c_abs, "note": "per unit constant unless C_abs set by the proof"},
-            "sums": sums_payload,
-        }
+        m_required, m_raw = rep.m_required, rep.m_raw
+        c1, c2, crossover = rep.c1, rep.c2, rep.crossover
+        note = "per unit constant unless C_abs set by the proof"
     else:
         _require(args.p is not None, "--theorem 2 requires --p")
-        lam = getattr(args, "lam")
         c1, c2, crossover = bd.concentration_constants(args.p, lam, 1.0)
-        payload = {
-            "subcommand": "bounds",
-            "config": _config_dict(args),
-            "theorem": 2,
-            "m_required": bd.m_two_stage(args.p, lam, args.s, args.eps_s, args.delta, args.xi, c_abs),
-            "m_raw": bd.m_two_stage_raw(args.p, lam, args.s, args.eps_s, args.delta, args.xi, c_abs),
-            "constants": {"c1": c1, "c2": c2, "crossover": crossover,
-                          "C_abs": c_abs, "note": "per unit constant"},
-            "sums": sums_payload,
-        }
-    if args.format == "csv":
-        lines = ["key,value"]
-        flat = {**{k: v for k, v in payload.items() if k in ("theorem", "m_required", "m_raw")},
-                **{f"constants.{k}": v for k, v in payload["constants"].items()},
-                **{f"sums.{k}": v for k, v in payload["sums"].items()}}
-        for k, v in flat.items():
-            lines.append(f"{k},{v}")
-        _emit(_csv_with_config("\n".join(lines), args), args.out)
-        return 0
-    _emit(_dumps(payload), args.out)
-    return 0
+        m_required = bd.m_two_stage(args.p, lam, args.s, args.eps_s, args.delta, args.xi, c_abs)
+        m_raw = bd.m_two_stage_raw(args.p, lam, args.s, args.eps_s, args.delta, args.xi, c_abs)
+        note = "per unit constant"
+    fields = {
+        "theorem": args.theorem,
+        "m_required": m_required,
+        "m_raw": m_raw,
+        "constants": {"c1": c1, "c2": c2, "crossover": crossover, "C_abs": c_abs, "note": note},
+        "sums": sums,
+    }
+
+    def csv():
+        flat = {k: fields[k] for k in ("theorem", "m_required", "m_raw")}
+        for group in ("constants", "sums"):
+            flat.update({f"{group}.{k}": v for k, v in fields[group].items()})
+        return "\n".join(["key,value"] + [f"{k},{v}" for k, v in flat.items()])
+
+    return Report(fields, csv)
 
 
-def _cmd_tails(args) -> int:
-    _require(args.format == "json", "tails emits JSON only")
+def _cmd_tails(args) -> Report:
     if args.probe == "bernstein":
         sampler = tp.named_sampler(args.sampler.replace("-", "_"))
         fit = tp.bernstein_tail_check(sampler, args.psi_k, args.m, args.t_grid, args.trials, args.seed)
-        payload = {
-            "subcommand": "tails",
-            "config": _config_dict(args),
-            "probe": "bernstein",
-            **json.loads(tp.tail_fit_to_json(fit)),
-        }
-        _emit(_dumps(payload), args.out)
-        return 0
-    spec = _model_spec(args)
-    y = ms.normalized_secants(spec, count=1, seed=child_seed(args.seed, CH_SECANT)).directions[:, 0]
-    n1, n2 = _map_dims(args, spec)
-    fit = tp.increment_tail_fit(
-        _dist_spec(args), args.variant.replace("-", "_"), args.m, y, np.zeros_like(y), args.p,
-        args.lambda_grid, args.trials, args.seed, n1=n1, n2=n2,
-    )
-    payload = {
-        "subcommand": "tails",
-        "config": _config_dict(args),
-        "probe": "increment",
-        **json.loads(tp.tail_fit_to_json(fit)),
-    }
-    _emit(_dumps(payload), args.out)
-    return 0
+    else:
+        spec = _model_spec(args)
+        y = ms.normalized_secants(spec, count=1, seed=child_seed(args.seed, CH_SECANT)).directions[:, 0]
+        n1, n2 = _map_dims(args, spec)
+        fit = tp.increment_tail_fit(
+            _dist_spec(args), args.variant.replace("-", "_"), args.m, y, np.zeros_like(y), args.p,
+            args.lambda_grid, args.trials, args.seed, n1=n1, n2=n2,
+        )
+    return Report({"probe": args.probe, **json.loads(tp.tail_fit_to_json(fit))})
 
 
-def _cmd_counterexample(args) -> int:
-    _require(args.format == "json", "counterexample emits JSON only")
+def _cmd_counterexample(args) -> Report:
     _require(args.r is not None and args.b is not None, "counterexample requires --r and --b")
     res = ms.secant_alpha_formula(args.r, args.b, t_max=args.t_max)
     bf, witness = ms.secant_alpha_bruteforce(args.r, args.b, args.i_max)
-    payload = {
-        "subcommand": "counterexample",
-        "config": _config_dict(args),
+    return Report({
         "alpha_bruteforce": bf,
         "alpha_formula_exact": res.alpha_exact,
         "alpha_formula_lb": res.alpha_lb,
@@ -422,42 +351,49 @@ def _cmd_counterexample(args) -> int:
         "vk_separation_bound": ms.vk_min_separation(args.r, args.b),
         "vk_min_pairwise": ms.vk_min_pairwise(args.r, args.b, args.k_max),
         "vk_k_max": args.k_max,
-    }
-    _emit(_dumps(payload), args.out)
-    return 0
+    })
 
 
 # ---------------------------------------------------------------------------
 # parser assembly
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # usage errors leave as JSON config errors, like every other failure
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ripbench",
         description="empirical restricted-isometry workbench: nets, sweeps, bounds, tails",
     )
     subs = parser.add_subparsers(dest="subcommand", required=True)
     sub_map = {}
 
-    def new_sub(name, func, **kw):
+    def new_sub(name, func, csv=False, **kw):
         sp = subs.add_parser(name, **kw)
         sp.set_defaults(func=func)
         _add_common(sp)
+        if csv:
+            sp.add_argument("--format", choices=("json", "csv"), default="json")
         sub_map[name] = sp
         return sp
 
-    sp = new_sub("net", _cmd_net, help="greedy epsilon-net of model samples or a point file")
-    _add_model_flags(sp)
-    sp.add_argument("--eps", type=float, default=None)
+    sp = new_sub("net", _cmd_net, csv=True, help="greedy epsilon-net of model samples or a point file")
+    _add_sample_flags(sp)
+    sp.add_argument("--eps", type=_number, default=None)
 
-    sp = new_sub("boxdim", _cmd_boxdim, help="box-counting dimension fit from net counts")
-    _add_model_flags(sp)
+    sp = new_sub("boxdim", _cmd_boxdim, csv=True, help="box-counting dimension fit from net counts")
+    _add_sample_flags(sp)
     sp.add_argument("--eps-grid", type=_float_list, default=None, help="comma list, strictly decreasing, in (0,1)")
 
-    sp = new_sub("rip-sweep", _cmd_rip_sweep, help="median RIP constant against m")
+    sp = new_sub("rip-sweep", _cmd_rip_sweep, csv=True, help="median RIP constant against m")
     _add_model_flags(sp)
+    sp.add_argument("--threads", type=int, default=1, help="worker threads; output is identical for every count")
     sp.add_argument("--dist", choices=("gaussian", "sparse-pm"), default="gaussian")
-    sp.add_argument("--q", type=float, default=4.0, help="sparse-pm parameter")
+    sp.add_argument("--q", type=_number, default=4.0, help="sparse-pm parameter")
     sp.add_argument("--m-list", type=_int_list, default=None, help="comma list, ascending")
     sp.add_argument("--p", type=int, choices=(1, 2), default=2)
     sp.add_argument("--n-secants", type=int, default=1000)
@@ -472,77 +408,91 @@ def _build_parser():
     sp.add_argument("--m", type=int, default=1000)
     sp.add_argument("--trials", type=int, default=200)
     sp.add_argument("--dist", choices=("gaussian", "sparse-pm"), default="gaussian")
-    sp.add_argument("--q", type=float, default=4.0)
+    sp.add_argument("--q", type=_number, default=4.0)
     sp.add_argument("--target", choices=("single-entry", "gauss-rank1"), default="single-entry")
 
-    sp = new_sub("haar-fourier", _cmd_haar_fourier, help="balancing residual and minimal frequency count")
+    sp = new_sub("haar-fourier", _cmd_haar_fourier, csv=True, help="balancing residual and minimal frequency count")
     sp.add_argument("--n", type=int, default=None, help="Haar block size (power of two)")
-    sp.add_argument("--eps-star", type=float, default=None)
+    sp.add_argument("--eps-star", type=_number, default=None)
     sp.add_argument("--d-freq", type=int, default=None, help="fixed frequency count: report the residual only")
     sp.add_argument("--d-max", type=int, default=4096)
 
-    sp = new_sub("bounds", _cmd_bounds, help="closed-form sample-complexity bounds and chaining sums")
+    sp = new_sub("bounds", _cmd_bounds, csv=True, help="closed-form sample-complexity bounds and chaining sums")
     sp.add_argument("--theorem", type=int, choices=(1, 2), default=1)
-    sp.add_argument("--s", type=float, default=None)
-    sp.add_argument("--eps-s", type=float, default=None)
-    sp.add_argument("--delta", type=float, default=None)
-    sp.add_argument("--xi", type=float, default=None)
-    sp.add_argument("--c1", type=float, default=1.0)
-    sp.add_argument("--c2", type=float, default=1.0)
-    sp.add_argument("--lambda", dest="lam", type=float, default=1.0, help="psi-norm ratio bound")
-    sp.add_argument("--c-abs", type=float, default=None, help="absolute constant (default: 3200 for theorem 1, 1 otherwise)")
+    sp.add_argument("--s", type=_number, default=None)
+    sp.add_argument("--eps-s", type=_number, default=None)
+    sp.add_argument("--delta", type=_number, default=None)
+    sp.add_argument("--xi", type=_number, default=None)
+    for flag in ("--c1", "--c2"):
+        sp.add_argument(flag, type=partial(_number, allow_inf=True), default=1.0, help="rate (inf: the regime never fires)")
+    sp.add_argument("--lambda", dest="lam", type=_number, default=1.0, help="psi-norm ratio bound")
+    sp.add_argument("--c-abs", type=_number, default=None, help="absolute constant (default: 3200 for theorem 1, 1 otherwise)")
     sp.add_argument("--p", type=int, choices=(1, 2), default=None)
     sp.add_argument("--j-max", type=int, default=64)
 
     sp = new_sub("tails", _cmd_tails, help="empirical two-regime tail fits")
     sp.add_argument("--probe", choices=("bernstein", "increment"), default="bernstein")
     sp.add_argument("--sampler", choices=("exp", "rop-gauss"), default="exp")
-    sp.add_argument("--psi-k", type=float, default=2.0, help="single-draw psi-1 bound K (regime split)")
+    sp.add_argument("--psi-k", type=_number, default=2.0, help="single-draw psi-1 bound K (regime split)")
     sp.add_argument("--m", type=int, default=100)
     sp.add_argument("--t-grid", type=_float_list, default=[0.1, 0.2, 0.4, 0.8, 1.6])
     sp.add_argument("--trials", type=int, default=20000)
-    _add_model_flags(sp)
+    _add_model_flags(sp, points=False)
     sp.add_argument("--dist", choices=("gaussian", "sparse-pm"), default="gaussian")
-    sp.add_argument("--q", type=float, default=4.0)
+    sp.add_argument("--q", type=_number, default=4.0)
     sp.add_argument("--variant", choices=("two-stage", "rank-one"), default="two-stage")
     sp.add_argument("--p", type=int, choices=(1, 2), default=2)
     sp.add_argument("--lambda-grid", type=_float_list, default=[0.05, 0.1, 0.2, 0.4, 0.8])
 
     sp = new_sub("counterexample", _cmd_counterexample, help="correlated-family isometry constants and v_k separation")
-    sp.add_argument("--r", type=float, default=None)
-    sp.add_argument("--b", type=float, default=None)
+    sp.add_argument("--r", type=_number, default=None)
+    sp.add_argument("--b", type=_number, default=None)
     sp.add_argument("--i-max", type=int, default=30)
     sp.add_argument("--k-max", type=int, default=20)
     sp.add_argument("--t-max", type=int, default=60)
 
-    dests = {name: {a.dest for a in sp._actions if a.dest != "help"} for name, sp in sub_map.items()}
-    return parser, sub_map, dests
+    return parser, sub_map
+
+
+def _parse(argv):
+    """Explicit flags over config-file values over built-in defaults."""
+    parser, sub_map = _build_parser()
+    args = parser.parse_args(argv)
+    if args.config is None:
+        return args
+    try:
+        with open(args.config) as fh:
+            cfg = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ValueError(f"cannot read config file: {exc}") from None
+    _require(isinstance(cfg, dict), "config file must hold a JSON object")
+    sp = sub_map[args.subcommand]
+    unknown = sorted(set(cfg) - {a.dest for a in sp._actions if a.dest != "help"})
+    _require(not unknown, f"unknown config keys for {args.subcommand}: {unknown}")
+    sp.set_defaults(**cfg)
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, sub_map, dests = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.config is not None:
-            try:
-                with open(args.config) as fh:
-                    cfg = json.load(fh)
-            except (OSError, json.JSONDecodeError) as exc:
-                return _fail(2, "config", f"cannot read config file: {exc}")
-            if not isinstance(cfg, dict):
-                return _fail(2, "config", "config file must hold a JSON object")
-            unknown = sorted(set(cfg) - dests[args.subcommand])
-            if unknown:
-                return _fail(2, "config", f"unknown config keys for {args.subcommand}: {unknown}")
-            sub_map[args.subcommand].set_defaults(**cfg)
-            args = parser.parse_args(argv)  # explicit flags still win over config defaults
-    except SystemExit as exc:  # argparse syntax errors already printed usage
-        code = exc.code
-        return code if isinstance(code, int) else 2
-    try:
+        args = _parse(argv)
         _resolve_seed(args, argv)
-        return args.func(args)
+        rep = args.func(args)
+        config = _config_dict(args)
+        if getattr(args, "format", "json") == "csv":
+            # trailing comment keeps the documented header on line 1
+            text = rep.csv().rstrip("\n") + "\n# config: " + _dumps(config) + "\n"
+        else:
+            text = _dumps({"subcommand": args.subcommand, "config": config, **rep.fields}) + "\n"
+        if args.out in (None, "-"):
+            sys.stdout.write(text)
+        else:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        return rep.code
+    except SystemExit as exc:  # --help printed its text
+        return exc.code
     except tp.FitFailureError as exc:
         return _fail(3, "fit_failure", str(exc))
     except ms.ModelCollapseError as exc:

@@ -100,7 +100,7 @@ class CorrelatedSeq:
     def __post_init__(self) -> None:
         if not (0.0 < self.r < 1.0):
             raise ValueError(f"need 0 < r < 1, got {self.r}")
-        if self.b <= 0.0:
+        if not self.b > 0.0:
             raise ValueError(f"need b > 0, got {self.b}")
         if self.i_max < 2:
             raise ValueError(f"need i_max >= 2, got {self.i_max}")
@@ -224,7 +224,7 @@ def correlated_sequence(r: float, b: float, i_max: int) -> np.ndarray:
     """
     if not (0.0 < r < 1.0):
         raise ValueError("need 0 < r < 1")
-    if b <= 0.0:
+    if not b > 0.0:
         raise ValueError("need b > 0")
     if i_max < 1:
         raise ValueError("need i_max >= 1")
@@ -298,7 +298,7 @@ def normalized_secants(
     Raises ModelCollapseError when more than 99 percent of attempted pairs
     fall below the relative gap threshold.
     """
-    if min_gap <= 0.0:
+    if not min_gap > 0.0:
         raise ValueError("min_gap > 0 required")
     if count is not None and count < 1:
         raise ValueError(f"need count >= 1, got {count}")
@@ -366,7 +366,7 @@ def greedy_net(points: Union[Sequence[np.ndarray], np.ndarray], eps: float) -> N
     center.  Guarantees: coverage within eps (closed balls), centers pairwise
     strictly more than eps apart.
     """
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise ValueError("eps > 0 required")
     pts = np.ascontiguousarray(points, dtype=float)
     if pts.size == 0:
@@ -428,7 +428,7 @@ def secant_alpha_formula(r: float, b: float, t_max: int = 60) -> AlphaResult:
     alpha_exact is sqrt(min over gaps t >= 1 of
     b^2 (1-r^t)^2 / (1 + r^{2t} + b^2 (1-r^t)^2)), scanned over t <= t_max.
     """
-    if not (0.0 < r < 1.0) or b <= 0.0:
+    if not (0.0 < r < 1.0 and b > 0.0):
         raise ValueError("need 0 < r < 1 and b > 0")
     lb = math.sqrt(b * b * (1.0 - r) ** 2 / (1.0 + r * r + b * b))
     vals = [(_gap_ratio_sq(r, b, t), t) for t in range(1, t_max + 1)]
@@ -459,7 +459,7 @@ def secant_alpha_bruteforce(r: float, b: float, i_max: int):
 
 def vk_min_separation(r: float, b: float) -> float:
     """Pairwise-distance floor 1/sqrt(1 + r^2 + b^2 (1-r)^2) for the v_k family."""
-    if not (0.0 < r < 1.0) or b <= 0.0:
+    if not (0.0 < r < 1.0 and b > 0.0):
         raise ValueError("need 0 < r < 1 and b > 0")
     return 1.0 / math.sqrt(1.0 + r * r + b * b * (1.0 - r) ** 2)
 

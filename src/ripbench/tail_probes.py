@@ -96,7 +96,7 @@ def abs_moment_exponential(q: float) -> float:
 
 def make_sparse_pm_abs_moment(q_dist: float) -> Callable[[float], float]:
     """E|P|^r = q^{r/2 - 1} for the three-point {0, +-sqrt(q)} law."""
-    if q_dist < 1.0:
+    if not q_dist >= 1.0:
         raise ValueError("need q >= 1")
     return lambda r: q_dist ** (r / 2.0 - 1.0)
 
@@ -213,7 +213,7 @@ def increment_tail_fit(
         diffs[t] = abs(hy - hz)
 
     lams = np.asarray([float(l) for l in lambda_grid])
-    if np.any(lams < 0.0):
+    if not np.all(lams >= 0.0):
         raise ValueError("lambda_grid must be nonnegative")
     lams = np.sort(lams)
     tails = np.asarray([float(np.mean(diffs >= lam * gap)) for lam in lams])
@@ -238,7 +238,7 @@ def bernstein_tail_check(
     as envelope constants with the regime split at t = K (the psi-1 bound of
     a single draw); the split is recorded in the crossover field.
     """
-    if K <= 0.0 or m < 1 or trials < 1:
+    if not K > 0.0 or m < 1 or trials < 1:
         raise ValueError("need K > 0, m >= 1, trials >= 1")
     draws = np.empty(trials * m)
     chunk = 1 << 16
@@ -254,7 +254,7 @@ def bernstein_tail_check(
     means = np.abs(draws.reshape(trials, m).mean(axis=1))
 
     ts = np.sort(np.asarray([float(t) for t in t_grid]))
-    if np.any(ts < 0.0):
+    if not np.all(ts >= 0.0):
         raise ValueError("t_grid must be nonnegative")
     tails = np.asarray([float(np.mean(means >= t)) for t in ts])
     if not np.any(tails[ts > 0.0] > 0.0):

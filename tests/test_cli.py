@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import ripbench.cli as cli
 
@@ -423,6 +425,109 @@ def test_argparse_syntax_errors_exit_2(capsys):
     capsys.readouterr()
     assert cli.main(["net", "--format", "xml"]) == 2
     capsys.readouterr()
+    for argv in (["no-such-subcommand"], ["net", "--format", "xml"], [],
+                 ["counterexample", "--no-such-flag"], ["bounds", "--s", "four"]):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "config"
+    rc, out, err = run(capsys, "net", "--help")  # help is not an error
+    assert rc == 0
+    assert out.startswith("usage: ripbench net")
+
+
+@pytest.mark.parametrize("argv", [
+    ("rop", "--format", "csv"),
+    ("tails", "--format", "json"),
+    ("counterexample", "--r", "0.5", "--b", "1", "--format", "json"),
+    ("net", "--model", "sparse", "--n", "6", "--k", "2", "--eps", "0.5", "--threads", "2"),
+    ("bounds", "--s", "4", "--eps-s", "0.25", "--delta", "0.5", "--xi", "0.1", "--threads", "1"),
+    ("rip-sweep", "--model", "sparse", "--n", "8", "--k", "2", "--m-list", "4",
+     "--count", "5"),
+    ("tails", "--secants"),
+    ("tails", "--points", "x"),
+])
+def test_flags_exist_only_where_read(capsys, argv):
+    rc, out, err = run(capsys, *argv, "--seed", "0")
+    assert rc == 2
+    assert out == ""
+    rec = json.loads(err)
+    assert rec["error"] == "config"
+    assert "unrecognized arguments" in rec["message"]
+
+
+def test_reports_record_only_flags_they_read(capsys):
+    net = run_json(capsys, "net", "--model", "sparse", "--n", "6", "--k", "1",
+                   "--count", "10", "--eps", "0.5", "--seed", "1")["config"]
+    assert {"format", "count", "secants", "points"} <= set(net) and "threads" not in net
+    sweep = run_json(capsys, *SWEEP_ARGS)["config"]
+    assert {"format", "threads", "points"} <= set(sweep)
+    assert not {"count", "secants"} & set(sweep)
+    tails = run_json(capsys, "tails", "--m", "5", "--trials", "1000", "--seed", "1")["config"]
+    assert not {"format", "threads", "count", "secants", "points"} & set(tails)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def strict_json(text):
+    return json.loads(text, parse_constant=_reject_constant)
+
+
+def test_infinite_rate_prints_strict_json(capsys):
+    rc, out, err = run(capsys, "bounds", "--s", "4", "--eps-s", "0.25", "--delta", "0.5",
+                       "--xi", "0.1", "--c1", "inf", "--seed", "0")
+    assert rc == 0
+    got = strict_json(out)
+    assert got["config"]["c1"] == "inf"
+    assert got["constants"]["c1"] == "inf"
+    assert got["m_required"] > 0
+
+    rc, out, err = run(capsys, "bounds", "--s", "4", "--eps-s", "0.25", "--delta", "0.5",
+                       "--xi", "0.1", "--c2", "inf", "--format", "csv", "--seed", "0")
+    assert rc == 0
+    assert strict_json(out.splitlines()[-1][len("# config: "):])["c2"] == "inf"
+
+
+@pytest.mark.parametrize("argv", [
+    ("bounds", "--s", "4", "--eps-s", "0.25", "--delta", "0.5", "--xi", "0.1", "--lambda", "nan"),
+    ("bounds", "--s", "4", "--eps-s", "0.25", "--delta", "0.5", "--xi", "0.1", "--c1", "nan"),
+    ("bounds", "--s", "inf", "--eps-s", "0.25", "--delta", "0.5", "--xi", "0.1"),
+    ("rop", "--q", "nan", "--m", "5", "--trials", "3"),
+    ("tails", "--psi-k", "inf", "--m", "5", "--trials", "1000"),
+    ("tails", "--t-grid", "0.1,nan", "--m", "5", "--trials", "1000"),
+    ("counterexample", "--r", "0.5", "--b=-inf"),
+])
+def test_non_finite_floats_exit_2(capsys, argv):
+    rc, out, err = run(capsys, *argv, "--seed", "0")
+    assert rc == 2
+    assert out == ""
+    rec = json.loads(err)
+    assert rec["error"] == "config"
+    assert "number" in rec["message"]
+
+
+def test_nan_from_config_file_exits_2(capsys, tmp_path):
+    # a config file bypasses the flag parser; the library check still holds
+    cfg = tmp_path / "ce.json"
+    cfg.write_text('{"r": 0.5, "b": NaN}')
+    rc, out, err = run(capsys, "counterexample", "--config", str(cfg), "--seed", "0")
+    assert rc == 2
+    assert out == ""
+    assert "b > 0" in json.loads(err)["message"]
+
+
+def test_nan_eps_exits_2_promptly():
+    # a NaN eps once made greedy_net add centers until the process was killed
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    argv = ["net", "--model", "sparse", "--n", "6", "--k", "2", "--eps", "nan", "--seed", "0"]
+    proc = subprocess.run([sys.executable, "-m", "ripbench.cli", *argv], capture_output=True,
+                          text=True, env=env, timeout=10)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert json.loads(proc.stderr)["error"] == "config"
 
 
 def test_model_param_validation_exits_2(capsys):
@@ -466,3 +571,73 @@ def test_every_subcommand_rerun_is_byte_identical(capsys, argv):
     second = run(capsys, *argv, "--seed", "37")
     assert first == second
     assert first[0] == 0
+
+
+# ---------------------------------------------------------------------------
+# property: every argv gives a report or a JSON error
+# ---------------------------------------------------------------------------
+
+# a small valid run per subcommand; drawn flags come after and override it
+BASE = {
+    "net": "--model sparse --n 6 --k 2 --count 20 --eps 0.5",
+    "boxdim": "--model sparse --n 6 --k 2 --count 20 --eps-grid 0.9,0.7,0.5",
+    "rip-sweep": "--model sparse --n 6 --k 2 --m-list 2,4 --n-secants 5 --trials 3 --n-resample 8",
+    "rop": "--n1 3 --n2 3 --m 10 --trials 5",
+    "haar-fourier": "--n 4 --eps-star 0.5 --d-max 64",
+    "bounds": "--s 4 --eps-s 0.25 --delta 0.5 --xi 0.1",
+    "tails": "--model sparse --n 6 --k 2 --m 5 --trials 1000",
+    "counterexample": "--r 0.5 --b 1 --i-max 10",
+}
+UNDRAWN = {"help", "seed", "out", "config", "points"}  # files and the fixed seed
+FLOAT_TOKENS = ["nan", "inf", "-inf", "-1", "0", "0.5", "1", "2"]
+
+
+def _value(sub, action):
+    """Strategy for one flag's value token, None for a switch."""
+    if action.nargs == 0:
+        return st.none()
+    if action.dest == "threads":
+        return st.sampled_from(["-1", "0", "1", "2"])
+    if action.choices:
+        return st.sampled_from([str(c) for c in action.choices])
+    if action.type is int:
+        ints = list(range(-2, 7)) + ([1000] if (sub, action.dest) == ("tails", "trials") else [])
+        return st.sampled_from([str(i) for i in ints])
+    if action.type is cli._int_list:
+        return st.lists(st.integers(-2, 6).map(str), max_size=3).map(",".join)
+    if action.type is cli._float_list:
+        return st.lists(st.sampled_from(FLOAT_TOKENS), max_size=3).map(",".join)
+    return st.sampled_from(FLOAT_TOKENS)  # scalar float flag
+
+
+@st.composite
+def cli_argv(draw):
+    _, sub_map = cli._build_parser()
+    sub = draw(st.sampled_from(sorted(sub_map)))
+    actions = [a for a in sub_map[sub]._actions if a.dest not in UNDRAWN]
+    argv = [sub, *BASE[sub].split()]
+    for action in draw(st.lists(st.sampled_from(actions), unique_by=lambda a: a.dest, max_size=4)):
+        flag, value = action.option_strings[0], draw(_value(sub, action))
+        # --flag=value keeps a value such as -inf from reading as a flag
+        argv.append(flag if value is None else f"{flag}={value}")
+    if draw(st.integers(0, 9)) == 0:
+        argv.append("--no-such-flag")
+    return argv + ["--seed", "1"]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=cli_argv())
+def test_main_reports_or_fails_with_json(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc in (0, 2, 3), (argv, err)
+    if rc == 0:
+        if "--format=csv" in argv:
+            out = out.splitlines()[-1][len("# config: "):]
+        strict_json(out)
+    elif rc == 3 and out:  # a min-d search that found nothing reports on stdout
+        assert strict_json(out)["error"] == "not_found" and err == ""
+    else:
+        assert out == "", argv
+        assert len(err.splitlines()) == 1
+        rec = strict_json(err)
+        assert set(rec) == {"error", "message"}

@@ -73,6 +73,13 @@ def _config_dict(args) -> dict:
     return {k: cfg[k] for k in sorted(cfg)}
 
 
+def _csv_table(header, rows) -> str:
+    """CSV text with a header line and floats at full precision (%.17g)."""
+    def cell(v):
+        return f"{v:.17g}" if isinstance(v, float) else str(v)
+    return "\n".join([",".join(header)] + [",".join(map(cell, row)) for row in rows])
+
+
 def _number(tok: str, allow_inf: bool = False) -> float:
     """The one parse type of float flags: NaN is refused, and so is an infinity
     unless the flag gives it a meaning."""
@@ -179,27 +186,16 @@ def _cmd_net(args) -> Report:
     _require(args.eps is not None, "net requires --eps")
     points = _points_for(args)
     net = ms.greedy_net(points, args.eps)
-
-    def csv():
-        dim = net.centers[0].size
-        return "\n".join([f"# dim={dim}"] + [",".join(f"{v:.17g}" for v in c) for c in net.centers])
-
-    return Report({"n_points": len(points), **json.loads(ms.net_result_to_json(net))}, csv)
+    fields = {"n_points": len(points), "radius": net.radius, "centers": net.centers,
+              "covered_count": net.covered_count}
+    # the CSV form is a point file, so a net can be fed back through --points
+    return Report(fields, lambda: ms.points_to_csv(net.centers))
 
 
 def _cmd_boxdim(args) -> Report:
     _require(args.eps_grid is not None, "boxdim requires --eps-grid")
     fit = ms.boxdim_fit(_points_for(args), args.eps_grid)
-    fields = {
-        "slope": fit.slope,
-        "intercept": fit.intercept,
-        "eps_grid": list(fit.eps_grid),
-        "counts": list(fit.counts),
-        "residual": fit.residual,
-        "monotone": fit.monotone,
-    }
-    rows = [f"{e:.17g},{c}" for e, c in zip(fit.eps_grid, fit.counts)]
-    return Report(fields, lambda: "\n".join(["eps,count"] + rows))
+    return Report(dataclasses.asdict(fit), lambda: _csv_table(["eps", "count"], zip(fit.eps_grid, fit.counts)))
 
 
 def _dist_spec(args) -> DistSpec:
@@ -228,7 +224,9 @@ def _cmd_rip_sweep(args) -> Report:
         args.seed, variant=variant, n1=n1, n2=n2, mu_mode=mu_mode,
         n_resample=args.n_resample, threads=args.threads,
     )
-    return Report({"rows": json.loads(re_.sweep_rows_to_json(rows))}, lambda: re_.sweep_rows_to_csv(rows))
+    head = [f.name for f in dataclasses.fields(re_.SweepRow)]
+    return Report({"rows": [dataclasses.asdict(r) for r in rows]},
+                  lambda: _csv_table(head, [dataclasses.astuple(r) for r in rows]))
 
 
 def _cmd_rop(args) -> Report:
@@ -277,11 +275,15 @@ def _cmd_haar_fourier(args) -> Report:
     if args.d_freq is not None:
         u = hf.build_u_block(args.d_freq, args.n)
         fields = {"n": args.n, "d_freq": args.d_freq, "residual": hf.balancing_residual(u)}
-        return Report(fields, lambda: hf.ublock_to_csv(u))
+        # one row per frequency; columns interleave Re and Im per Haar function
+        head = ["freq"] + [f"{part}_{j}" for j in range(u.n) for part in ("re", "im")]
+        rows = ([l, *(x for c in row for x in (c.real, c.imag))] for l, row in zip(u.freq_order, u.entries))
+        return Report(fields, lambda: _csv_table(head, rows))
     _require(args.eps_star is not None, "supply --eps-star (min-d search) or --d-freq (fixed block)")
     _require(args.format == "json", "min-d search emits JSON only")
     res = hf.min_d_for_eps(args.n, args.eps_star, d_max=args.d_max)
-    return Report(json.loads(hf.min_d_to_json(res)), code=0 if res.found else 3)
+    missed = {} if res.found else {"error": "not_found", "residual_at_d_max": res.residual, "d_max": res.d_max}
+    return Report({"n": res.n, "eps_star": res.eps_star, "d": res.d, **missed}, code=0 if res.found else 3)
 
 
 def _cmd_bounds(args) -> Report:
@@ -335,7 +337,15 @@ def _cmd_tails(args) -> Report:
             _dist_spec(args), args.variant.replace("-", "_"), args.m, y, np.zeros_like(y), args.p,
             args.lambda_grid, args.trials, args.seed, n1=n1, n2=n2,
         )
-    return Report({"probe": args.probe, **json.loads(tp.tail_fit_to_json(fit))})
+    return Report({
+        "probe": args.probe,
+        "lambda_grid": fit.lambda_grid,
+        "tail": fit.empirical_tail,
+        "c1": fit.fitted_c1,
+        "c2": fit.fitted_c2,
+        "crossover": fit.crossover,
+        "trials": fit.trials,
+    })
 
 
 def _cmd_counterexample(args) -> Report:
@@ -454,6 +464,24 @@ def _build_parser():
     return parser, sub_map
 
 
+def _config_tokens(actions: dict, cfg: dict) -> list:
+    """Config values as flag tokens, so they get the flags' own type and choice
+    checks: a list joins with commas, true gives the bare switch, and false or
+    null gives nothing (the built-in default)."""
+    tokens = []
+    for key, value in cfg.items():
+        flag = actions[key].option_strings[0]
+        if actions[key].nargs == 0:
+            _require(isinstance(value, bool), f"config key {key!r} takes true or false")
+            if value:
+                tokens.append(flag)
+        elif value is not None:
+            _require(not isinstance(value, (bool, dict)), f"config key {key!r} takes a number, a string or a list")
+            text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+            tokens.append(f"{flag}={text}")  # '=' keeps a value such as -1 from reading as a flag
+    return tokens
+
+
 def _parse(argv):
     """Explicit flags over config-file values over built-in defaults."""
     parser, sub_map = _build_parser()
@@ -466,11 +494,12 @@ def _parse(argv):
     except (OSError, json.JSONDecodeError) as exc:
         raise ValueError(f"cannot read config file: {exc}") from None
     _require(isinstance(cfg, dict), "config file must hold a JSON object")
-    sp = sub_map[args.subcommand]
-    unknown = sorted(set(cfg) - {a.dest for a in sp._actions if a.dest != "help"})
+    actions = {a.dest: a for a in sub_map[args.subcommand]._actions if a.dest != "help"}
+    unknown = sorted(set(cfg) - set(actions))
     _require(not unknown, f"unknown config keys for {args.subcommand}: {unknown}")
-    sp.set_defaults(**cfg)
-    return parser.parse_args(argv)
+    # argv[0] is the subcommand (the top-level parser has no flags), and the
+    # user's flags after the config tokens win, as a repeated flag's last value does
+    return parser.parse_args(argv[:1] + _config_tokens(actions, cfg) + argv[1:])
 
 
 def main(argv=None) -> int:

@@ -18,8 +18,6 @@ U.  The real part suffices because Haar coordinate vectors are real.
 
 from __future__ import annotations
 
-import cmath
-import json
 import math
 from dataclasses import dataclass
 
@@ -36,8 +34,6 @@ __all__ = [
     "balancing_residual",
     "min_d_for_eps",
     "spectral_norm_sym",
-    "ublock_to_csv",
-    "min_d_to_json",
 ]
 
 
@@ -81,23 +77,23 @@ def haar_fn(j: int, t: np.ndarray) -> np.ndarray:
     return (2.0 ** (s / 2.0)) * out
 
 
-def _w_profile(theta: float) -> complex:
-    if theta == 0.0:
-        return 0.0 + 0.0j
-    z = 1.0 - cmath.exp(-1j * math.pi * theta)
-    return z * z / (2j * math.pi * theta)
+def _haar_column(ls: np.ndarray, j: int) -> np.ndarray:
+    """<phi_l, psi_j> over the frequencies ls, in closed form."""
+    label = haar_index(j)
+    if label is None:
+        return np.where(ls == 0.0, 1.0 + 0.0j, 0.0j)
+    s, k = label
+    theta = ls / (2.0**s)
+    z = 1.0 - np.exp(-1j * math.pi * theta)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = np.where(theta == 0.0, 0.0j, z * z / (2j * math.pi * np.where(theta == 0.0, 1.0, theta)))
+    phase = np.exp(-2j * math.pi * ls * k / (2.0**s))
+    return (2.0 ** (-s / 2.0)) * phase * w
 
 
 def haar_fourier_coeff(l: int, j: int) -> complex:
     """<phi_l, psi_j> in closed form."""
-    label = haar_index(j)
-    if label is None:
-        return 1.0 + 0.0j if l == 0 else 0.0 + 0.0j
-    s, k = label
-    if not (0 <= k < 2**s):
-        raise ValueError("need 0 <= k < 2^s")
-    phase = cmath.exp(-2j * math.pi * l * k / (2**s))
-    return (2.0 ** (-s / 2.0)) * phase * _w_profile(l / (2**s))
+    return complex(_haar_column(np.array([float(l)]), j)[0])
 
 
 @dataclass(frozen=True)
@@ -116,15 +112,8 @@ def build_u_block(d_freq: int, n: int) -> UBlock:
     freqs = frequency_order(d_freq)
     ls = np.asarray(freqs, dtype=float)
     entries = np.empty((d_freq, n), dtype=complex)
-    entries[:, 0] = np.where(ls == 0.0, 1.0 + 0.0j, 0.0j)
-    for j in range(1, n):
-        s, k = haar_index(j)
-        theta = ls / (2.0**s)
-        z = 1.0 - np.exp(-1j * math.pi * theta)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w = np.where(theta == 0.0, 0.0j, z * z / (2j * math.pi * np.where(theta == 0.0, 1.0, theta)))
-        phase = np.exp(-2j * math.pi * ls * k / (2.0**s))
-        entries[:, j] = (2.0 ** (-s / 2.0)) * phase * w
+    for j in range(n):
+        entries[:, j] = _haar_column(ls, j)
     return UBlock(entries=entries, freq_order=tuple(freqs), n=n)
 
 
@@ -182,27 +171,3 @@ def min_d_for_eps(n: int, eps_star: float, d_max: int = 4096) -> MinDResult:
         if resid <= eps_star:
             return MinDResult(True, d, resid, n, eps_star, d_max)
     return MinDResult(False, None, resid, n, eps_star, d_max)
-
-
-def ublock_to_csv(u: UBlock) -> str:
-    """One row per frequency; columns interleave Re and Im per Haar function."""
-    head = ["freq"]
-    for j in range(u.n):
-        head += [f"re_{j}", f"im_{j}"]
-    lines = [",".join(head)]
-    for i, l in enumerate(u.freq_order):
-        cells = [str(l)]
-        for j in range(u.n):
-            c = u.entries[i, j]
-            cells += [f"{c.real:.17g}", f"{c.imag:.17g}"]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
-
-
-def min_d_to_json(res: MinDResult) -> str:
-    payload = {"n": res.n, "eps_star": res.eps_star, "d": res.d}
-    if not res.found:
-        payload["error"] = "not_found"
-        payload["residual_at_d_max"] = res.residual
-        payload["d_max"] = res.d_max
-    return json.dumps(payload)

@@ -48,11 +48,10 @@ __all__ = [
     "vk_min_separation",
     "vk_vectors",
     "vk_min_pairwise",
-    "save_points_csv",
+    "points_to_csv",
     "load_points_csv",
     "points_to_json",
     "points_from_json",
-    "net_result_to_json",
 ]
 
 
@@ -491,19 +490,18 @@ def vk_min_pairwise(r: float, b: float, k_max: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# point files
 # ---------------------------------------------------------------------------
 
-def save_points_csv(path, points: Sequence[np.ndarray]) -> None:
-    pts = [np.asarray(p, float) for p in points]
-    dim = pts[0].size
-    with open(path, "w") as fh:
-        fh.write(f"# dim={dim}\n")
-        for p in pts:
-            fh.write(",".join(f"{v:.17g}" for v in p) + "\n")
+def points_to_csv(points: Sequence[np.ndarray]) -> str:
+    """The text load_points_csv reads: a '# dim=<n>' line, then one row per point."""
+    rows = [",".join(f"{v:.17g}" for v in np.asarray(p, float)) for p in points]
+    return "\n".join([f"# dim={np.asarray(points[0]).size}", *rows]) + "\n"
 
 
 def load_points_csv(path) -> list:
+    """Rows of a point file; blank lines and later '#' lines (such as the
+    config comment a CSV report ends with) are skipped."""
     points = []
     with open(path) as fh:
         first = fh.readline().strip()
@@ -512,7 +510,7 @@ def load_points_csv(path) -> list:
         dim = int(first.split("=", 1)[1])
         for line in fh:
             line = line.strip()
-            if not line:
+            if not line or line.startswith("#"):
                 continue
             row = np.asarray([float(v) for v in line.split(",")], dtype=float)
             if row.size != dim:
@@ -527,12 +525,3 @@ def points_to_json(points: Sequence[np.ndarray]) -> str:
 
 def points_from_json(text: str) -> list:
     return [np.asarray(row, dtype=float) for row in json.loads(text)]
-
-
-def net_result_to_json(net: NetResult) -> str:
-    payload = {
-        "radius": net.radius,
-        "centers": [list(map(float, c)) for c in net.centers],
-        "covered_count": net.covered_count,
-    }
-    return json.dumps(payload)

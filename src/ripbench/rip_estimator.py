@@ -13,7 +13,6 @@ error otherwise, over a vector or a column batch with one mode per call.
 
 from __future__ import annotations
 
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -43,13 +42,7 @@ __all__ = [
     "delta_extremes",
     "rip_sweep",
     "pnorm_p",
-    "rip_report_to_json",
-    "sweep_rows_to_csv",
-    "sweep_rows_to_json",
-    "SWEEP_CSV_HEADER",
 ]
-
-SWEEP_CSV_HEADER = "m,delta_median,delta_q1,delta_q3,trials,p,seed"
 
 
 class UnsupportedAnalyticError(ValueError):
@@ -276,7 +269,7 @@ def rip_sweep(
 
     One secant sample, drawn from substream (seed, secant channel), serves
     every (m, trial) cell; the map for trial t at size m comes from substream
-    (seed, map channel, m, t), so rows are reproducible cell by cell.
+    (seed, trial channel, m, t), so rows are reproducible cell by cell.
     """
     for name, count in (("trials", trials), ("n_secants", n_secants), ("threads", threads)):
         if count < 1:
@@ -305,45 +298,3 @@ def rip_sweep(
         q1, med, q3 = np.percentile(deltas, [25.0, 50.0, 75.0])
         rows.append(SweepRow(m, float(med), float(q1), float(q3), trials, p, seed))
     return rows
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def rip_report_to_json(r: RipReport) -> str:
-    payload = {
-        "delta_p": r.delta_p,
-        "witness": {
-            "direction": [float(v) for v in r.witness_direction],
-            "pair_ids": list(r.witness_pair_ids),
-        },
-        "under_delta": r.under_delta,
-        "bar_delta": r.bar_delta,
-        "m": r.m,
-        "p": r.p,
-        "n_secants": r.n_secants,
-        "trials": r.trials,
-        "seed": r.seed,
-    }
-    return json.dumps(payload)
-
-
-def sweep_rows_to_csv(rows: Sequence[SweepRow]) -> str:
-    lines = [SWEEP_CSV_HEADER]
-    for r in rows:
-        lines.append(
-            f"{r.m},{r.delta_median:.17g},{r.delta_q1:.17g},{r.delta_q3:.17g},"
-            f"{r.trials},{r.p},{r.seed}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def sweep_rows_to_json(rows: Sequence[SweepRow]) -> str:
-    return json.dumps([
-        {
-            "m": r.m, "delta_median": r.delta_median, "delta_q1": r.delta_q1,
-            "delta_q3": r.delta_q3, "trials": r.trials, "p": r.p, "seed": r.seed,
-        }
-        for r in rows
-    ])

@@ -20,8 +20,6 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-import json
-
 import numpy as np
 
 from ._rng import CH_BATCH, CH_MAP, child_seed, substream
@@ -42,7 +40,6 @@ __all__ = [
     "centered_exponential_sampler",
     "centered_rop_abs_sampler",
     "named_sampler",
-    "tail_fit_to_json",
 ]
 
 
@@ -286,18 +283,3 @@ def named_sampler(name: str) -> Callable[[int, np.random.Generator], np.ndarray]
     if name not in table:
         raise ValueError(f"unknown sampler {name!r}; choose from {sorted(table)}")
     return table[name]
-
-
-def tail_fit_to_json(fit: TailFit) -> str:
-    def enc(v: float):
-        return v if math.isfinite(v) else "inf"
-
-    payload = {
-        "lambda_grid": list(fit.lambda_grid),
-        "tail": list(fit.empirical_tail),
-        "c1": enc(fit.fitted_c1),
-        "c2": enc(fit.fitted_c2),
-        "crossover": enc(fit.crossover),
-        "trials": fit.trials,
-    }
-    return json.dumps(payload)

@@ -210,6 +210,28 @@ def test_bench_tracing_targets_resolve():
         assert inspect.isfunction(fn), f"ripbench.{mod}.{name}"
 
 
+def test_public_names_resolve():
+    # __all__ lists and the package's imports are kept by hand
+    import ast
+    import importlib
+    import pkgutil
+
+    import ripbench
+
+    for info in pkgutil.iter_modules(ripbench.__path__):
+        mod = importlib.import_module("ripbench." + info.name)
+        for name in getattr(mod, "__all__", ()):
+            assert hasattr(mod, name), f"ripbench.{info.name}.__all__ names {name}"
+    tree = ast.parse(Path(ripbench.__file__).read_text())
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1]
+    assert imports
+    for node in imports:
+        mod = importlib.import_module("ripbench." + node.module)
+        for alias in node.names:
+            assert hasattr(mod, alias.name), f"ripbench.{node.module}.{alias.name}"
+            assert getattr(ripbench, alias.asname or alias.name) is getattr(mod, alias.name)
+
+
 def test_rip_sweep_threads_value_identical(capsys):
     rows1 = run_json(capsys, *SWEEP_ARGS)["rows"]
     rows2 = run_json(capsys, *SWEEP_ARGS, "--threads", "2")["rows"]
@@ -386,6 +408,47 @@ def test_config_file_unknown_key_rejected(capsys, tmp_path):
     assert "bogus" in rec["message"]
 
 
+@pytest.mark.parametrize("argv,cfg,flag", [
+    (SWEEP_ARGS, {"mu": "xyz"}, "--mu"),  # once a KeyError traceback
+    (("rop", "--m", "5", "--trials", "3"), {"dist": "foo"}, "--dist"),  # once ran sparse-pm
+    (("net", "--model", "sparse", "--n", "6", "--k", "2", "--eps", "0.5"),
+     {"format": "xml"}, "--format"),  # once recorded in the report
+])
+def test_config_values_get_the_flag_checks(capsys, tmp_path, argv, cfg, flag):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    rc, out, err = run(capsys, *argv, "--config", str(path))
+    assert rc == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    rec = json.loads(err)
+    assert rec["error"] == "config"
+    assert f"argument {flag}: invalid choice" in rec["message"]
+
+
+def test_config_lists_and_switches_become_flags(capsys, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"eps_grid": [0.5, 0.35, 0.25], "secants": True, "count": 20}))
+    base = ("boxdim", "--model", "sparse", "--n", "6", "--k", "1", "--seed", "3")
+    via_cfg = run(capsys, *base, "--config", str(path))
+    direct = run(capsys, *base, "--eps-grid", "0.5,0.35,0.25", "--secants", "--count", "20")
+    assert via_cfg[0] == 0
+    assert json.loads(via_cfg[1])["counts"] == json.loads(direct[1])["counts"]
+    path.write_text(json.dumps({"secants": "yes"}))
+    rc, out, err = run(capsys, *base, "--config", str(path))
+    assert rc == 2 and out == "" and "true or false" in json.loads(err)["message"]
+
+
+def test_env_seed_beats_config_file_seed(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"seed": 11}))
+    assert run_json(capsys, "counterexample", "--r", "0.5", "--b", "1",
+                    "--config", str(path))["config"]["seed"] == 11
+    monkeypatch.setenv(cli.SEED_ENV, "4")
+    assert run_json(capsys, "counterexample", "--r", "0.5", "--b", "1",
+                    "--config", str(path))["config"]["seed"] == 4
+
+
 def test_config_file_must_hold_object(capsys, tmp_path):
     cfg = tmp_path / "list.json"
     cfg.write_text("[1, 2]")
@@ -510,13 +573,13 @@ def test_non_finite_floats_exit_2(capsys, argv):
 
 
 def test_nan_from_config_file_exits_2(capsys, tmp_path):
-    # a config file bypasses the flag parser; the library check still holds
+    # a config value passes the same parse check as the flag
     cfg = tmp_path / "ce.json"
     cfg.write_text('{"r": 0.5, "b": NaN}')
     rc, out, err = run(capsys, "counterexample", "--config", str(cfg), "--seed", "0")
     assert rc == 2
     assert out == ""
-    assert "b > 0" in json.loads(err)["message"]
+    assert "argument --b: expected a finite number" in json.loads(err)["message"]
 
 
 def test_nan_eps_exits_2_promptly():
@@ -610,34 +673,61 @@ def _value(sub, action):
     return st.sampled_from(FLOAT_TOKENS)  # scalar float flag
 
 
+def _json_value(token):
+    """A drawn token as a config-file value: true for a switch, a list for a
+    comma list, and a number where the token reads as one."""
+    if token is None:
+        return True
+
+    def one(tok):
+        for cast in (int, float):
+            try:
+                return cast(tok)
+            except ValueError:
+                pass
+        return tok
+
+    return [one(t) for t in token.split(",") if t] if "," in token or not token else one(token)
+
+
 @st.composite
 def cli_argv(draw):
+    """(argv, config object): each drawn flag goes on the command line or into
+    the config file."""
     _, sub_map = cli._build_parser()
     sub = draw(st.sampled_from(sorted(sub_map)))
     actions = [a for a in sub_map[sub]._actions if a.dest not in UNDRAWN]
-    argv = [sub, *BASE[sub].split()]
+    argv, cfg = [sub, *BASE[sub].split()], {}
     for action in draw(st.lists(st.sampled_from(actions), unique_by=lambda a: a.dest, max_size=4)):
         flag, value = action.option_strings[0], draw(_value(sub, action))
-        # --flag=value keeps a value such as -inf from reading as a flag
-        argv.append(flag if value is None else f"{flag}={value}")
+        if draw(st.booleans()):
+            cfg[action.dest] = _json_value(value)
+        else:
+            # --flag=value keeps a value such as -inf from reading as a flag
+            argv.append(flag if value is None else f"{flag}={value}")
     if draw(st.integers(0, 9)) == 0:
         argv.append("--no-such-flag")
-    return argv + ["--seed", "1"]
+    return argv + ["--seed", "1"], cfg
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(argv=cli_argv())
-def test_main_reports_or_fails_with_json(capsys, argv):
+@given(drawn=cli_argv())
+def test_main_reports_or_fails_with_json(capsys, tmp_path, drawn):
+    argv, cfg = drawn
+    if cfg:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        argv = argv + ["--config", str(path)]
     rc, out, err = run(capsys, *argv)
-    assert rc in (0, 2, 3), (argv, err)
+    assert rc in (0, 2, 3), (argv, cfg, err)
     if rc == 0:
-        if "--format=csv" in argv:
+        if "--format=csv" in argv or cfg.get("format") == "csv":
             out = out.splitlines()[-1][len("# config: "):]
         strict_json(out)
     elif rc == 3 and out:  # a min-d search that found nothing reports on stdout
         assert strict_json(out)["error"] == "not_found" and err == ""
     else:
-        assert out == "", argv
+        assert out == "", (argv, cfg)
         assert len(err.splitlines()) == 1
         rec = strict_json(err)
         assert set(rec) == {"error", "message"}

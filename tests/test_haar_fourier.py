@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import ripbench.cli as cli
 from ripbench import haar_fourier as hf
 
 
@@ -148,18 +149,27 @@ def test_min_d_first_passing():
     assert hf.balancing_residual(hf.build_u_block(res.d - 1, 2)) > 0.19
 
 
-def test_min_d_not_found_carries_residual():
+def _min_d_report(capsys, *flags):
+    rc = cli.main(["haar-fourier", *flags, "--seed", "0"])
+    rep = json.loads(capsys.readouterr().out)
+    del rep["subcommand"], rep["config"]
+    return rc, rep
+
+
+def test_min_d_not_found_carries_residual(capsys):
     res = hf.min_d_for_eps(4, 1e-4, d_max=32)
     assert not res.found
     assert res.residual > 1e-4
     assert res.d_max == 32
-    d = json.loads(hf.min_d_to_json(res))
-    assert d["error"] == "not_found"
-    assert d["d"] is None
+    rc, d = _min_d_report(capsys, "--n", "4", "--eps-star", "1e-4", "--d-max", "32")
+    assert rc == 3
+    assert d == {"n": 4, "eps_star": 1e-4, "d": None, "error": "not_found",
+                 "residual_at_d_max": res.residual, "d_max": 32}
 
 
-def test_min_d_json_fields():
-    d = json.loads(hf.min_d_to_json(hf.min_d_for_eps(2, 0.19)))
+def test_min_d_json_fields(capsys):
+    rc, d = _min_d_report(capsys, "--n", "2", "--eps-star", "0.19")
+    assert rc == 0
     assert d == {"n": 2, "eps_star": 0.19, "d": 3}
 
 
@@ -176,9 +186,15 @@ def test_spectral_norm_sym_matches_eigh():
         assert abs(hf.spectral_norm_sym(A) - want) < 1e-8 * max(1.0, want)
 
 
-def test_ublock_csv_shape():
+def test_ublock_csv_shape(capsys):
+    argv = ["haar-fourier", "--n", "2", "--d-freq", "3", "--format", "csv", "--seed", "0"]
+    assert cli.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "freq,re_0,im_0,re_1,im_1"
+    assert len(lines) == 5  # header + 3 frequencies + config comment
     u = hf.build_u_block(3, 2)
-    lines = hf.ublock_to_csv(u).strip().splitlines()
-    assert lines[0].startswith("freq,")
-    assert len(lines) == 4  # header + 3 frequencies
-    assert lines[1].split(",")[0] == "0"
+    for line, l, row in zip(lines[1:4], u.freq_order, u.entries):
+        cells = line.split(",")
+        assert int(cells[0]) == l
+        got = np.asarray([float(v) for v in cells[1:]])
+        np.testing.assert_array_equal(got, np.column_stack([row.real, row.imag]).ravel())

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import ripbench.cli as cli
 from ripbench import model_sets as ms
 
 
@@ -335,7 +336,7 @@ def test_vk_vectors_unit_norm():
 def test_points_csv_roundtrip(tmp_path):
     pts = ms.sample_sparse_unit(5, 2, 7, seed=2)
     path = tmp_path / "pts.csv"
-    ms.save_points_csv(path, pts)
+    path.write_text(ms.points_to_csv(pts) + "# a trailing comment line is skipped\n")
     first = path.read_text().splitlines()[0]
     assert first == "# dim=5"
     back = ms.load_points_csv(path)
@@ -350,9 +351,26 @@ def test_points_json_roundtrip():
         np.testing.assert_array_equal(a, b)
 
 
-def test_net_result_json_fields():
-    net = ms.greedy_net(CROSS, 0.5)
-    d = json.loads(ms.net_result_to_json(net))
-    assert set(d) == {"radius", "centers", "covered_count"}
+def test_net_result_json_fields(capsys, tmp_path):
+    path = tmp_path / "cross.csv"
+    path.write_text(ms.points_to_csv(CROSS))
+    assert cli.main(["net", "--points", str(path), "--eps", "0.5", "--seed", "0"]) == 0
+    d = json.loads(capsys.readouterr().out)
+    assert set(d) == {"subcommand", "config", "n_points", "radius", "centers", "covered_count"}
     assert d["radius"] == 0.5
     assert d["covered_count"] == 4
+    assert d["centers"] == [list(c) for c in ms.greedy_net(CROSS, 0.5).centers]
+
+
+def test_net_csv_is_a_point_file(capsys, tmp_path):
+    # a net written as CSV reads back through --points as the same centers
+    path = tmp_path / "net.csv"
+    argv = ["net", "--model", "sparse", "--n", "6", "--k", "2", "--count", "40", "--eps", "0.6",
+            "--seed", "3"]
+    assert cli.main([*argv, "--format", "csv", "--out", str(path)]) == 0
+    assert cli.main(argv) == 0
+    net = json.loads(capsys.readouterr().out)
+    assert cli.main(["net", "--points", str(path), "--eps", "0.6", "--seed", "3"]) == 0
+    again = json.loads(capsys.readouterr().out)
+    assert again["n_points"] == len(net["centers"])
+    assert sorted(again["centers"]) == sorted(net["centers"])

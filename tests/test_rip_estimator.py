@@ -1,11 +1,13 @@
 """Semi-norm values, empirical deltas, and the m-sweep."""
 
+import json
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import ripbench.cli as cli
 import ripbench.embeddings as em
 import ripbench.model_sets as ms
 import ripbench.rip_estimator as ripest
@@ -416,43 +418,38 @@ def test_sweep_auto_matches_explicit_analytic():
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# the sweep report
 # ---------------------------------------------------------------------------
 
-def test_sweep_csv_header_and_rows():
-    rows = ripest.rip_sweep(ms.Sparse(n=6, k=1), em.gaussian(), [4, 8], 2, 10, 3, 41)
-    text = ripest.sweep_rows_to_csv(rows)
-    lines = text.strip().splitlines()
+def _sweep_report(capsys, *flags):
+    argv = ["rip-sweep", "--model", "sparse", "--n", "6", "--k", "1", *flags]
+    assert cli.main(argv) == 0
+    return capsys.readouterr().out
+
+
+def test_sweep_csv_header_and_rows(capsys):
+    out = _sweep_report(capsys, "--m-list", "4,8", "--n-secants", "10", "--trials", "3",
+                        "--seed", "41", "--format", "csv")
+    lines = out.splitlines()
     assert lines[0] == "m,delta_median,delta_q1,delta_q3,trials,p,seed"
-    assert len(lines) == 3
+    assert len(lines) == 4 and lines[3].startswith("# config: ")
+    rows = ripest.rip_sweep(ms.Sparse(n=6, k=1), em.gaussian(), [4, 8], 2, 10, 3, 41)
+    for line, row in zip(lines[1:3], rows):
+        assert line == (f"{row.m},{row.delta_median:.17g},{row.delta_q1:.17g},{row.delta_q3:.17g},"
+                        f"{row.trials},{row.p},{row.seed}")
     first = lines[1].split(",")
     assert first[0] == "4" and first[4] == "3" and first[5] == "2" and first[6] == "41"
-    assert abs(float(first[1]) - rows[0].delta_median) < 1e-16
+    assert float(first[1]) == rows[0].delta_median  # %.17g round-trips a double
 
 
-def test_sweep_json_round_trip():
-    import json
-
+def test_sweep_json_round_trip(capsys):
+    out = _sweep_report(capsys, "--p", "1", "--m-list", "4", "--n-secants", "8",
+                        "--trials", "2", "--seed", "15")
     rows = ripest.rip_sweep(ms.Sparse(n=6, k=1), em.gaussian(), [4], 1, 8, 2, 15)
-    back = json.loads(ripest.sweep_rows_to_json(rows))
-    assert back == [
+    assert json.loads(out)["rows"] == [
         {
             "m": 4, "delta_median": rows[0].delta_median,
             "delta_q1": rows[0].delta_q1, "delta_q3": rows[0].delta_q3,
             "trials": 2, "p": 1, "seed": 15,
         }
     ]
-
-
-def test_rip_report_json_keys():
-    import json
-
-    secants = ms.normalized_secants(ms.Sparse(n=4, k=1), count=5, seed=2)
-    rep = ripest.empirical_delta(_identity_map(4), secants, 2, [1.0] * 5)
-    back = json.loads(ripest.rip_report_to_json(rep))
-    assert set(back) == {
-        "delta_p", "witness", "under_delta", "bar_delta", "m", "p",
-        "n_secants", "trials", "seed",
-    }
-    assert set(back["witness"]) == {"direction", "pair_ids"}
-    assert len(back["witness"]["direction"]) == 4

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ripbench.cli as cli
 import ripbench.embeddings as em
 import ripbench.tail_probes as tp
 
@@ -307,14 +308,16 @@ def test_stock_samplers_are_centered():
         assert abs(draws.mean()) < 4.0 * se
 
 
-def test_tail_fit_json_keys_and_inf():
-    fit = _point_fit(seed=17, trials=1000)
-    back = json.loads(tp.tail_fit_to_json(fit))
-    assert set(back) == {"lambda_grid", "tail", "c1", "c2", "crossover", "trials"}
-    assert back["trials"] == 1000
-    assert back["lambda_grid"] == list(fit.lambda_grid)
-
-    inf_fit = tp.TailFit((0.0, 1.0), (1.0, 0.1), 2.0, math.inf, math.inf, 500, 4)
-    enc = json.loads(tp.tail_fit_to_json(inf_fit))
-    assert enc["c2"] == "inf" and enc["crossover"] == "inf"
-    assert enc["c1"] == 2.0
+def test_tail_fit_json_keys_and_inf(capsys):
+    # an infinite rate is reported as the string "inf"
+    argv = ["tails", "--probe", "bernstein", "--psi-k", "100", "--m", "10", "--trials", "200",
+            "--t-grid", "0.1,50,100,200", "--seed", "1"]
+    assert cli.main(argv) == 0
+    back = json.loads(capsys.readouterr().out)
+    assert set(back) == {"subcommand", "config", "probe", "lambda_grid", "tail", "c1", "c2",
+                         "crossover", "trials"}
+    assert back["trials"] == 200
+    assert back["lambda_grid"] == [0.1, 50.0, 100.0, 200.0]
+    assert back["c2"] == "inf"
+    assert back["crossover"] == 100.0
+    assert math.isfinite(back["c1"]) and back["c1"] > 0.0

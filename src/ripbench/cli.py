@@ -26,7 +26,7 @@ from . import model_sets as ms
 from . import rip_estimator as re_
 from . import tail_probes as tp
 from ._rng import CH_MU, CH_SECANT, CH_TRIAL, RNG_LAYOUT, child_seed, substream
-from .embeddings import DistSpec, apply, gaussian, rank_one_map, sparse_pm, storage_cost
+from .embeddings import DistSpec, apply_columns, gaussian, rank_one_map, sparse_pm, storage_cost
 
 SEED_ENV = "RIPBENCH_SEED"
 
@@ -171,7 +171,9 @@ def _load_points(path):
 def _points_for(args):
     """Model samples, point-file rows, or their secant directions, one per row."""
     spec = _model_spec(args)
-    # a point file gives all its points, or all pairs as secants, unless --count
+    # fixed point sets are used whole; --count sizes samples and secants (point-file secants: all pairs)
+    fixed = args.points is not None or args.model == "correlated"
+    _require(args.count is None or args.secants or not fixed, "--count needs a sampled model or --secants")
     count = 200 if args.count is None and args.points is None else args.count
     if args.secants:
         return ms.normalized_secants(spec, count=count, seed=child_seed(args.seed, CH_SECANT)).directions.T
@@ -199,6 +201,8 @@ def _cmd_boxdim(args) -> Report:
 
 
 def _dist_spec(args) -> DistSpec:
+    _require(args.dist == "sparse-pm" or args.q is None, "--q applies to --dist sparse-pm only")
+    args.q = 4.0 if args.q is None else args.q  # the resolved value lands in the recorded config
     return gaussian() if args.dist == "gaussian" else sparse_pm(args.q)
 
 
@@ -242,13 +246,11 @@ def _cmd_rop(args) -> Report:
         M = np.outer(rng.standard_normal(n1), rng.standard_normal(n2))
         M /= np.linalg.norm(M)
     fro = float(np.linalg.norm(M))
-    vals1 = np.empty(args.trials)
-    vals2 = np.empty(args.trials)
+    vals = np.empty((2, args.trials))  # per trial: ||y||_1 and m ||y||_2^2 = mean (a^T M b)^2
     for t in range(args.trials):
         L = rank_one_map(args.m, n1, n2, dist, child_seed(args.seed, CH_TRIAL, t))
-        y = apply(L, M)
-        vals1[t] = float(np.sum(np.abs(y)))
-        vals2[t] = float(np.sum(y * y)) * args.m  # undo one 1/m to report mean (a^T M b)^2
+        y = apply_columns(L, M.reshape(-1, 1))[:, 0]
+        vals[:, t] = re_.pnorm_p(y, 1), re_.pnorm_p(y, 2) * args.m
     # E|a^T M b|^p is the semi-norm of a one-row rank-one map
     one_row = re_.MuNormSpec(mode="analytic", dist=dist, variant="rank_one", m=1, n1=n1, n2=n2)
 
@@ -260,10 +262,10 @@ def _cmd_rop(args) -> Report:
 
     return Report({
         "frobenius": fro,
-        "abs_mean": float(vals1.mean()),
-        "abs_mean_std": float(vals1.std(ddof=1)),
+        "abs_mean": float(vals[0].mean()),
+        "abs_mean_std": float(vals[0].std(ddof=1)),
         "abs_mean_analytic": analytic(1),
-        "sq_mean": float(vals2.mean()),
+        "sq_mean": float(vals[1].mean()),
         "sq_mean_analytic": analytic(2),
         "storage_cost": storage_cost(L),
         "dense_cost": args.m * n1 * n2,
@@ -273,6 +275,7 @@ def _cmd_rop(args) -> Report:
 def _cmd_haar_fourier(args) -> Report:
     _require(args.n is not None, "haar-fourier requires --n")
     if args.d_freq is not None:
+        _require(args.eps_star is None, "--eps-star starts a min-d search; drop it with --d-freq")
         u = hf.build_u_block(args.d_freq, args.n)
         fields = {"n": args.n, "d_freq": args.d_freq, "residual": hf.balancing_residual(u)}
         # one row per frequency; columns interleave Re and Im per Haar function
@@ -289,8 +292,11 @@ def _cmd_haar_fourier(args) -> Report:
 def _cmd_bounds(args) -> Report:
     _require(None not in (args.s, args.eps_s, args.delta, args.xi),
              "bounds requires --s, --eps-s, --delta, --xi")
-    if args.c_abs is None:  # the resolved value lands in the recorded config
+    _require((args.theorem == 1 and args.p is None) or (args.c1 is None and args.c2 is None),
+             "--c1/--c2 apply to --theorem 1 without --p; else the rates come from --p and --lambda")
+    if args.c_abs is None:  # resolved values land in the recorded config
         args.c_abs = 3200.0 if args.theorem == 1 else 1.0
+    args.c1, args.c2 = (1.0 if c is None else c for c in (args.c1, args.c2))
     c_abs, lam = args.c_abs, args.lam
     inputs = bd.BoundInputs(
         s=args.s, eps_S=args.eps_s, delta=args.delta, xi=args.xi,
@@ -326,6 +332,7 @@ def _cmd_bounds(args) -> Report:
 
 
 def _cmd_tails(args) -> Report:
+    dist = _dist_spec(args)
     if args.probe == "bernstein":
         sampler = tp.named_sampler(args.sampler.replace("-", "_"))
         fit = tp.bernstein_tail_check(sampler, args.psi_k, args.m, args.t_grid, args.trials, args.seed)
@@ -334,7 +341,7 @@ def _cmd_tails(args) -> Report:
         y = ms.normalized_secants(spec, count=1, seed=child_seed(args.seed, CH_SECANT)).directions[:, 0]
         n1, n2 = _map_dims(args, spec)
         fit = tp.increment_tail_fit(
-            _dist_spec(args), args.variant.replace("-", "_"), args.m, y, np.zeros_like(y), args.p,
+            dist, args.variant.replace("-", "_"), args.m, y, np.zeros_like(y), args.p,
             args.lambda_grid, args.trials, args.seed, n1=n1, n2=n2,
         )
     return Report({
@@ -403,7 +410,7 @@ def _build_parser():
     _add_model_flags(sp)
     sp.add_argument("--threads", type=int, default=1, help="worker threads; output is identical for every count")
     sp.add_argument("--dist", choices=("gaussian", "sparse-pm"), default="gaussian")
-    sp.add_argument("--q", type=_number, default=4.0, help="sparse-pm parameter")
+    sp.add_argument("--q", type=_number, default=None, help="sparse-pm parameter (default 4)")
     sp.add_argument("--m-list", type=_int_list, default=None, help="comma list, ascending")
     sp.add_argument("--p", type=int, choices=(1, 2), default=2)
     sp.add_argument("--n-secants", type=int, default=1000)
@@ -418,7 +425,7 @@ def _build_parser():
     sp.add_argument("--m", type=int, default=1000)
     sp.add_argument("--trials", type=int, default=200)
     sp.add_argument("--dist", choices=("gaussian", "sparse-pm"), default="gaussian")
-    sp.add_argument("--q", type=_number, default=4.0)
+    sp.add_argument("--q", type=_number, default=None, help="sparse-pm parameter (default 4)")
     sp.add_argument("--target", choices=("single-entry", "gauss-rank1"), default="single-entry")
 
     sp = new_sub("haar-fourier", _cmd_haar_fourier, csv=True, help="balancing residual and minimal frequency count")
@@ -434,7 +441,7 @@ def _build_parser():
     sp.add_argument("--delta", type=_number, default=None)
     sp.add_argument("--xi", type=_number, default=None)
     for flag in ("--c1", "--c2"):
-        sp.add_argument(flag, type=partial(_number, allow_inf=True), default=1.0, help="rate (inf: the regime never fires)")
+        sp.add_argument(flag, type=partial(_number, allow_inf=True), default=None, help="theorem 1 rate (default 1; inf: never fires)")
     sp.add_argument("--lambda", dest="lam", type=_number, default=1.0, help="psi-norm ratio bound")
     sp.add_argument("--c-abs", type=_number, default=None, help="absolute constant (default: 3200 for theorem 1, 1 otherwise)")
     sp.add_argument("--p", type=int, choices=(1, 2), default=None)
@@ -449,7 +456,7 @@ def _build_parser():
     sp.add_argument("--trials", type=int, default=20000)
     _add_model_flags(sp, points=False)
     sp.add_argument("--dist", choices=("gaussian", "sparse-pm"), default="gaussian")
-    sp.add_argument("--q", type=_number, default=4.0)
+    sp.add_argument("--q", type=_number, default=None, help="sparse-pm parameter (default 4)")
     sp.add_argument("--variant", choices=("two-stage", "rank-one"), default="two-stage")
     sp.add_argument("--p", type=int, choices=(1, 2), default=2)
     sp.add_argument("--lambda-grid", type=_float_list, default=[0.05, 0.1, 0.2, 0.4, 0.8])

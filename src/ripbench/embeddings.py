@@ -269,31 +269,30 @@ def rank_one_map(m: int, n1: int, n2: int, dist: DistSpec, seed: int) -> Measure
 
 
 def apply(L: MeasurementMap, x) -> np.ndarray:
-    """Evaluate the map on a vector (or, for rank-one, a matrix or its
-    row-major flattening)."""
+    """Evaluate the map on one input: a vector, or for rank-one an n1 x n2
+    matrix or its row-major flattening.  The one-column form of apply_columns."""
     x = np.asarray(x, dtype=float)
-    if L.variant == "rank_one":
-        M = x.reshape(L.n1, L.n2) if x.ndim == 1 else x
-        if M.shape != (L.n1, L.n2):
-            raise ValueError(f"expected a {L.n1} x {L.n2} matrix, got {M.shape}")
-        return np.einsum("ij,jk,ik->i", L.a_vecs, M, L.b_vecs) / L.m
-    if x.shape != (L.input_dim,):
-        raise ValueError(f"expected a vector of length {L.input_dim}, got {x.shape}")
-    y = L.stage_one.basis_block @ x if L.stage_one is not None else x
-    return (L.matrix @ y) * L.scale
+    if x.ndim != 1 and (L.variant != "rank_one" or x.shape != (L.n1, L.n2)):
+        want = f"a {L.n1} x {L.n2} matrix" if L.variant == "rank_one" else f"a vector of length {L.input_dim}"
+        raise ValueError(f"expected {want}, got {x.shape}")
+    return apply_columns(L, x.reshape(-1, 1))[:, 0]
 
 
 def apply_columns(L: MeasurementMap, X: np.ndarray) -> np.ndarray:
-    """Batch evaluation: X has one input vector per column (for rank-one, one
-    row-major flattened n1 x n2 matrix per column).
+    """Batch evaluation, the one evaluator of a drawn map: X has one input
+    vector per column (for rank-one, one row-major flattened n1 x n2 matrix
+    per column).
 
     A rank-one map is one matmul with its Khatri-Rao rows vec(a_i b_i^T),
-    since a_i^T M b_i = <vec(a_i b_i^T), vec(M)>.
+    since a_i^T M b_i = <vec(a_i b_i^T), vec(M)>; a single column skips the
+    m x n1 n2 rows and contracts a_i^T M b_i directly.
     """
     X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[0] != L.input_dim:
+        raise ValueError(f"expected a 2-D batch of columns of length {L.input_dim}, got shape {X.shape}")
     if L.variant == "rank_one":
-        if X.shape[0] != L.input_dim:
-            raise ValueError(f"expected columns of length {L.input_dim}, got {X.shape[0]}")
+        if X.shape[1] == 1:
+            return np.einsum("ij,jk,ik->i", L.a_vecs, X.reshape(L.n1, L.n2), L.b_vecs)[:, None] / L.m
         rows = (L.a_vecs[:, :, None] * L.b_vecs[:, None, :]).reshape(L.m, L.input_dim)
         return (rows @ X) / L.m
     Y = L.stage_one.basis_block @ X if L.stage_one is not None else X

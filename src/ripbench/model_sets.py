@@ -427,8 +427,8 @@ def secant_alpha_formula(r: float, b: float, t_max: int = 60) -> AlphaResult:
     alpha_exact is sqrt(min over gaps t >= 1 of
     b^2 (1-r^t)^2 / (1 + r^{2t} + b^2 (1-r^t)^2)), scanned over t <= t_max.
     """
-    if not (0.0 < r < 1.0 and b > 0.0):
-        raise ValueError("need 0 < r < 1 and b > 0")
+    if not (0.0 < r < 1.0 and b > 0.0 and t_max >= 1):
+        raise ValueError(f"need 0 < r < 1, b > 0 and t_max >= 1, got {r}, {b}, {t_max}")
     lb = math.sqrt(b * b * (1.0 - r) ** 2 / (1.0 + r * r + b * b))
     vals = [(_gap_ratio_sq(r, b, t), t) for t in range(1, t_max + 1)]
     best, t_min = min(vals)

@@ -113,17 +113,11 @@ class SweepRow:
     seed: int
 
 
-def pnorm_p(z: np.ndarray, p: int) -> float:
-    """||z||_p^p for p in {1, 2}."""
-    if p == 1:
-        return float(np.sum(np.abs(z)))
-    if p == 2:
-        return float(np.sum(z * z))
-    raise ValueError(f"p must be 1 or 2, got {p}")
-
-
-def _column_pnorms(Z: np.ndarray, p: int) -> np.ndarray:
-    """||z||_p^p for every column z of Z."""
+def pnorm_p(Z: np.ndarray, p: int):
+    """||z||_p^p for p in {1, 2}: a number for a vector z, one value per
+    column for a batch Z."""
+    if p not in (1, 2):
+        raise ValueError(f"p must be 1 or 2, got {p}")
     return np.abs(Z).sum(axis=0) if p == 1 else (Z * Z).sum(axis=0)
 
 
@@ -202,7 +196,7 @@ def mu_pnorm(spec: MuNormSpec, x, p: int) -> MuNorm:
         vals = np.empty((X.shape[1], spec.n_resample))
         for j in range(spec.n_resample):
             L = _draw_map(spec, child_seed(spec.seed, CH_MAP, j), p)
-            vals[:, j] = _column_pnorms(apply_columns(L, X), p)
+            vals[:, j] = pnorm_p(apply_columns(L, X), p)
         value = vals.mean(axis=1)
         stderr = (vals.std(axis=1, ddof=1) / math.sqrt(spec.n_resample) if spec.n_resample > 1
                   else np.full(X.shape[1], math.inf))
@@ -227,7 +221,7 @@ def empirical_delta(
     if len(secants) == 0:
         raise ValueError("need at least one secant")
     mu_arr = np.asarray(mu, dtype=float)
-    devs = np.abs(_column_pnorms(apply_columns(L, secants.directions), p) - mu_arr)
+    devs = np.abs(pnorm_p(apply_columns(L, secants.directions), p) - mu_arr)
     idx = int(np.argmax(devs))
     return RipReport(
         delta_p=float(devs[idx]),
@@ -277,18 +271,18 @@ def rip_sweep(
     m_list = [int(m) for m in m_list]
     if not m_list or any(m_list[i] >= m_list[i + 1] for i in range(len(m_list) - 1)):
         raise ValueError("m_list must be nonempty and strictly ascending")
-    X = normalized_secants(model, count=n_secants, seed=child_seed(seed, CH_SECANT)).directions
+    secants = normalized_secants(model, count=n_secants, seed=child_seed(seed, CH_SECANT))
     rows = []
     for m in m_list:
         spec_m = MuNormSpec(
-            mode=mu_mode, dist=dist, variant=variant, m=m, stage_one=stage_one, ambient_dim=X.shape[0],
+            mode=mu_mode, dist=dist, variant=variant, m=m, stage_one=stage_one, ambient_dim=len(secants.directions),
             n1=n1, n2=n2, n_resample=n_resample, seed=child_seed(seed, CH_MAP, 0),
         )
-        mu_vec = mu_pnorm(spec_m, X, p).value
+        mu_vec = mu_pnorm(spec_m, secants.directions, p).value
 
         def one_trial(t: int, m=m, spec_m=spec_m, mu_vec=mu_vec) -> float:
             L = _draw_map(spec_m, child_seed(seed, CH_TRIAL, m, t), p)
-            return float(np.max(np.abs(_column_pnorms(apply_columns(L, X), p) - mu_vec)))
+            return empirical_delta(L, secants, p, mu_vec).delta_p
 
         if threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ._rng import CH_BATCH, CH_MAP, child_seed, substream
-from .embeddings import DistSpec, StageOneMap, apply
+from .embeddings import DistSpec, StageOneMap, apply_columns
 from .rip_estimator import MuNormSpec, _draw_map, mu_pnorm, pnorm_p
 
 __all__ = [
@@ -138,12 +138,9 @@ def psi_norm(
 
 def _envelope_rate(lams, tails, mask, m: int, exponent_of_lambda) -> float:
     # largest c with tail <= 2 exp(-c * m * g(lambda)) on every masked point
-    cands = []
-    for lam, tail, ok in zip(lams, tails, mask):
-        if not ok or tail <= 0.0 or lam <= 0.0:
-            continue
-        cands.append(-math.log(tail / 2.0) / (m * exponent_of_lambda(lam)))
-    return min(cands) if cands else math.inf
+    cands = [-math.log(tail / 2.0) / (m * exponent_of_lambda(lam))
+             for lam, tail, ok in zip(lams, tails, mask) if ok and tail > 0.0 and lam > 0.0]
+    return min(cands, default=math.inf)
 
 
 def _two_regime_fit(lams: np.ndarray, tails: np.ndarray, m: int, split0: float):
@@ -161,6 +158,22 @@ def _two_regime_fit(lams: np.ndarray, tails: np.ndarray, m: int, split0: float):
         else:
             split = c2 / c1
     return c1, c2, split
+
+
+def _checked_grid(grid: Sequence[float], name: str) -> np.ndarray:
+    """The threshold grid sorted, checked before any draw: NaN or negative values raise."""
+    g = np.sort(np.asarray([float(v) for v in grid]))
+    if not np.all(g >= 0.0):
+        raise ValueError(f"{name} must be nonnegative")
+    return g
+
+
+def _empirical_tail(stats: np.ndarray, grid: np.ndarray, scale: float, name: str) -> np.ndarray:
+    """P{stat >= g * scale} per grid value g; FitFailureError if all positive g see zero."""
+    tails = np.asarray([float(np.mean(stats >= g * scale)) for g in grid])
+    if not np.any(tails[grid > 0.0] > 0.0):
+        raise FitFailureError(f"all tails zero on the grid; refine {name}")
+    return tails
 
 
 def increment_tail_fit(
@@ -188,8 +201,8 @@ def increment_tail_fit(
     """
     if trials < 1000:
         raise ValueError("need trials >= 1000")
-    y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
+    lams = _checked_grid(lambda_grid, "lambda_grid")
+    y, z = np.asarray(y, dtype=float), np.asarray(z, dtype=float)
     gap = float(np.linalg.norm(y - z))
     if gap == 0.0:
         raise ValueError("y and z must differ")
@@ -198,24 +211,14 @@ def increment_tail_fit(
         ambient_dim=y.size, n1=n1, n2=n2, n_resample=n_resample,
         seed=child_seed(seed, CH_MAP),
     )
-    z_nonzero = bool(np.any(z != 0.0))
-    mu = mu_pnorm(spec, np.stack([y, z], axis=1) if z_nonzero else y, p).value
-    mu_y, mu_z = (mu[0], mu[1]) if z_nonzero else (mu, 0.0)
+    # h_p(0) = 0, so a zero z needs no column of its own
+    X = np.stack([y, z], axis=1) if np.any(z != 0.0) else y[:, None]
+    mu = mu_pnorm(spec, X, p).value
 
-    diffs = np.empty(trials)
-    for t in range(trials):
-        L = _draw_map(spec, child_seed(seed, CH_BATCH, t), p)
-        hy = pnorm_p(apply(L, y), p) - mu_y
-        hz = pnorm_p(apply(L, z), p) - mu_z if z_nonzero else 0.0
-        diffs[t] = abs(hy - hz)
-
-    lams = np.asarray([float(l) for l in lambda_grid])
-    if not np.all(lams >= 0.0):
-        raise ValueError("lambda_grid must be nonnegative")
-    lams = np.sort(lams)
-    tails = np.asarray([float(np.mean(diffs >= lam * gap)) for lam in lams])
-    if not np.any(tails[lams > 0.0] > 0.0):
-        raise FitFailureError("all tails zero on the grid; refine lambda_grid")
+    h = np.array([pnorm_p(apply_columns(_draw_map(spec, child_seed(seed, CH_BATCH, t), p), X), p)
+                  for t in range(trials)]) - mu
+    diffs = np.abs(h[:, 0] - h[:, 1]) if X.shape[1] == 2 else np.abs(h[:, 0])
+    tails = _empirical_tail(diffs, lams, gap, "lambda_grid")
     c1, c2, split = _two_regime_fit(lams, tails, m, split0=float(np.median(lams)))
     return TailFit(tuple(lams), tuple(tails), c1, c2, split, trials, m)
 
@@ -237,6 +240,7 @@ def bernstein_tail_check(
     """
     if not K > 0.0 or m < 1 or trials < 1:
         raise ValueError("need K > 0, m >= 1, trials >= 1")
+    ts = _checked_grid(t_grid, "t_grid")
     draws = np.empty(trials * m)
     chunk = 1 << 16
     for c, start in enumerate(range(0, draws.size, chunk)):
@@ -250,12 +254,7 @@ def bernstein_tail_check(
         )
     means = np.abs(draws.reshape(trials, m).mean(axis=1))
 
-    ts = np.sort(np.asarray([float(t) for t in t_grid]))
-    if not np.all(ts >= 0.0):
-        raise ValueError("t_grid must be nonnegative")
-    tails = np.asarray([float(np.mean(means >= t)) for t in ts])
-    if not np.any(tails[ts > 0.0] > 0.0):
-        raise FitFailureError("all tails zero on the grid; refine t_grid")
+    tails = _empirical_tail(means, ts, 1.0, "t_grid")
     c1 = _envelope_rate(ts, tails, ts <= K, m, lambda t: t * t / (K * K))
     c2 = _envelope_rate(ts, tails, ts >= K, m, lambda t: t / K)
     return TailFit(tuple(ts), tuple(tails), c1, c2, float(K), trials, m)

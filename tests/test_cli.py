@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ripbench.cli as cli
+import ripbench.model_sets as ms
 
 
 def run(capsys, *argv):
@@ -518,6 +519,54 @@ def test_flags_exist_only_where_read(capsys, argv):
     rec = json.loads(err)
     assert rec["error"] == "config"
     assert "unrecognized arguments" in rec["message"]
+
+
+BOUNDS_ARGS = ("bounds", "--s", "4", "--eps-s", "0.25", "--delta", "0.5", "--xi", "0.1")
+
+
+@pytest.mark.parametrize("argv", [
+    ("net", "--points", "{points}", "--count", "5", "--eps", "0.5"),
+    ("net", "--model", "correlated", "--r", "0.5", "--b", "1", "--i-max", "6", "--count", "3", "--eps", "0.5"),
+    ("haar-fourier", "--n", "8", "--d-freq", "3", "--eps-star", "0.1"),
+    (*BOUNDS_ARGS, "--theorem", "1", "--p", "2", "--c1", "5"),
+    (*BOUNDS_ARGS, "--theorem", "2", "--p", "2", "--c1", "5"),
+    (*BOUNDS_ARGS, "--theorem", "2", "--p", "1", "--c2", "5"),
+    ("rop", "--q", "0.5"),
+    ("rip-sweep", "--model", "sparse", "--n", "6", "--k", "2", "--m-list", "4", "--q", "2"),
+    ("tails", "--q", "2"),
+    ("tails", "--probe", "increment", "--model", "sparse", "--n", "6", "--k", "2", "--m", "5", "--q", "2"),
+], ids=["net-points-count", "net-correlated-count", "haar-fourier-d-freq-eps-star",
+        "bounds-theorem-1-p-c1", "bounds-theorem-2-c1", "bounds-theorem-2-c2", "rop-gaussian-q",
+        "rip-sweep-gaussian-q", "tails-bernstein-q", "tails-increment-gaussian-q"])
+def test_flags_a_run_ignores_are_refused(capsys, tmp_path, argv):
+    points = tmp_path / "pts.csv"
+    points.write_text(ms.points_to_csv(np.eye(12)))
+    argv = [str(points) if tok == "{points}" else tok for tok in argv]
+    rc, out, err = run(capsys, *argv, "--seed", "0")
+    assert rc == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "config"
+
+
+def test_flags_are_kept_where_a_run_reads_them(capsys, tmp_path):
+    points = tmp_path / "pts.csv"
+    points.write_text(ms.points_to_csv(np.eye(12)))
+    net = run_json(capsys, "net", "--points", str(points), "--secants", "--count", "5", "--eps", "0.5", "--seed", "0")
+    assert net["n_points"] == 5
+    assert run_json(capsys, *BOUNDS_ARGS, "--c1", "5", "--seed", "0")["constants"]["c1"] == 5.0
+    rop = run_json(capsys, "rop", "--dist", "sparse-pm", "--q", "2", "--m", "5", "--trials", "3", "--seed", "0")
+    assert rop["config"]["q"] == 2.0
+    # an unset --q or --c1 is recorded at its default, as before it could be refused
+    assert run_json(capsys, "rop", "--m", "5", "--trials", "3", "--seed", "0")["config"]["q"] == 4.0
+    assert run_json(capsys, *BOUNDS_ARGS, "--theorem", "2", "--p", "1", "--seed", "0")["config"]["c2"] == 1.0
+
+
+def test_counterexample_zero_t_max_exits_2(capsys):
+    rc, out, err = run(capsys, "counterexample", "--r", "0.5", "--b", "1", "--t-max", "0", "--seed", "0")
+    assert rc == 2
+    assert out == ""
+    assert "t_max >= 1" in json.loads(err)["message"]
 
 
 def test_reports_record_only_flags_they_read(capsys):

@@ -245,9 +245,41 @@ def test_descriptor_roundtrip_beyond_one_row_block():
 
 
 def test_apply_columns_rank_one_rejects_wrong_length():
+    # every map takes a 2-D batch of columns of length input_dim = 12
+    stage_one = em.build_stage_one(np.eye(12)[:5])
+    maps = (em.rank_one_map(7, 3, 4, em.gaussian(), seed=2),
+            em.two_stage_map(None, em.gaussian(), 7, p=2, seed=2, ambient_dim=12),
+            em.two_stage_map(stage_one, em.gaussian(), 7, p=1, seed=2))
+    for L in maps:
+        assert em.apply_columns(L, np.zeros((12, 2))).shape == (7, 2)
+        for X in (np.zeros((11, 2)), np.zeros((13, 1)), np.zeros(12), np.zeros((12, 1, 1))):
+            with pytest.raises(ValueError, match="columns of length 12"):
+                em.apply_columns(L, X)
+
+
+def test_apply_takes_one_input():
     L = em.rank_one_map(7, 3, 4, em.gaussian(), seed=2)
-    with pytest.raises(ValueError):
-        em.apply_columns(L, np.zeros((11, 2)))
+    assert em.apply(L, np.ones((3, 4))).shape == em.apply(L, np.ones(12)).shape == (7,)
+    with pytest.raises(ValueError, match="3 x 4 matrix"):
+        em.apply(L, np.ones((4, 3)))
+    L2 = em.two_stage_map(None, em.gaussian(), 7, p=2, seed=2, ambient_dim=12)
+    with pytest.raises(ValueError, match="vector of length 12"):
+        em.apply(L2, np.ones((3, 4)))
+    with pytest.raises(ValueError, match="columns of length 12"):
+        em.apply(L2, np.ones(11))
+
+
+@pytest.mark.parametrize("dist", [em.gaussian(), em.sparse_pm(3.0)])
+def test_rank_one_one_column_is_the_direct_contraction(dist):
+    # oracle: the per-input contraction a_i^T M b_i / m as one einsum; both
+    # apply and a one-column apply_columns must reproduce it bit for bit
+    for seed, (m, n1, n2) in enumerate([(1, 1, 1), (9, 3, 4), (300, 16, 16), (50, 7, 2)]):
+        L = em.rank_one_map(m, n1, n2, dist, seed=seed)
+        M = em.sample_dist(em.gaussian(), (n1, n2), seed=100 + seed)
+        want = np.einsum("ij,jk,ik->i", L.a_vecs, M, L.b_vecs) / m
+        np.testing.assert_array_equal(em.apply(L, M), want)
+        np.testing.assert_array_equal(em.apply(L, M.ravel()), want)
+        np.testing.assert_array_equal(em.apply_columns(L, M.reshape(-1, 1))[:, 0], want)
 
 
 def test_descriptor_roundtrip_rank_one():

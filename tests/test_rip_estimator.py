@@ -366,9 +366,24 @@ def test_sweep_rejects_zero_counts():
 def test_batched_rank_one_pnorms_match_per_secant_apply(p):
     secants = ms.normalized_secants(ms.LowRank(4, 5, 1), count=30, seed=3)
     L = em.rank_one_map(40, 4, 5, em.gaussian(), seed=11)
-    got = ripest._column_pnorms(em.apply_columns(L, secants.directions), p)
-    want = [ripest.pnorm_p(em.apply(L, d), p) for d in secants.directions.T]
+    got = ripest.pnorm_p(em.apply_columns(L, secants.directions), p)
+    want = []
+    for d in secants.directions.T:
+        M = d.reshape(4, 5)
+        # the definition, one measurement at a time: a_i^T M b_i / m
+        y = np.array([L.a_vecs[i] @ M @ L.b_vecs[i] for i in range(L.m)]) / L.m
+        want.append(np.sum(np.abs(y) ** p))
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+def test_pnorm_p_of_a_vector_and_of_columns():
+    Z = np.array([[3.0, -1.0], [-4.0, 0.5]])
+    for p, col0, cols in ((1, 7.0, [7.0, 1.5]), (2, 25.0, [25.0, 1.25])):
+        got = ripest.pnorm_p(Z[:, 0], p)
+        assert np.ndim(got) == 0 and got == col0
+        np.testing.assert_array_equal(ripest.pnorm_p(Z, p), cols)
+    with pytest.raises(ValueError, match="p must be 1 or 2"):
+        ripest.pnorm_p(Z, 3)
 
 
 def test_sweep_deterministic_and_thread_invariant():

@@ -200,6 +200,34 @@ def test_increment_input_validation():
                               [-0.1, 0.5], 1000, 1)
 
 
+def test_increment_two_point_tail_matches_per_vector_reference():
+    # [y, z] go through each map as two columns; the reference applies the
+    # map to y and z one at a time, with the fit's map keys and closed-form mu
+    from ripbench._rng import CH_BATCH, child_seed
+
+    y, z, grid = np.eye(4)[0], 0.5 * np.eye(4)[1], [0.1, 0.3, 0.9]
+    fit = tp.increment_tail_fit(em.gaussian(), "two_stage", 6, y, z, 1, grid, 1000, 7)
+    diffs = []
+    for t in range(1000):
+        L = em.two_stage_map(None, em.gaussian(), 6, 1, child_seed(7, CH_BATCH, t), ambient_dim=4)
+        h = [np.sum(np.abs(em.apply(L, x))) - math.sqrt(2.0 / math.pi) * np.linalg.norm(x) for x in (y, z)]
+        diffs.append(abs(h[0] - h[1]))
+    gap = np.linalg.norm(y - z)
+    assert fit.empirical_tail == tuple(float(np.mean(np.asarray(diffs) >= lam * gap)) for lam in grid)
+
+
+def test_grids_are_checked_before_any_draw(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("drew before checking the grid")
+
+    with pytest.raises(ValueError, match="t_grid"):
+        tp.bernstein_tail_check(no_draw, 1.0, 4, [0.5, -1.0], 50, 0)
+    monkeypatch.setattr(tp, "_draw_map", no_draw)
+    with pytest.raises(ValueError, match="lambda_grid"):
+        tp.increment_tail_fit(em.gaussian(), "two_stage", 4, np.eye(4)[0], np.zeros(4), 2,
+                              [0.1, -0.2], 1000, 0)
+
+
 def test_increment_deterministic():
     assert _point_fit(seed=30, trials=1000) == _point_fit(seed=30, trials=1000)
 

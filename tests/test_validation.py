@@ -61,3 +61,9 @@ def test_nan_input_raises_value_error(name):
     call, match = CASES[name]
     with pytest.raises(ValueError, match=match):
         call()
+
+
+def test_secant_alpha_formula_needs_one_gap():
+    # t_max = 0 leaves no gap to scan; it once surfaced as a bare min() error
+    with pytest.raises(ValueError, match="t_max >= 1"):
+        ms.secant_alpha_formula(0.5, 1.0, t_max=0)

@@ -274,8 +274,10 @@ def _cmd_rop(args) -> Report:
 
 def _cmd_haar_fourier(args) -> Report:
     _require(args.n is not None, "haar-fourier requires --n")
+    search_flags = (args.eps_star, args.d_max) != (None, None)
+    args.d_max = 4096 if args.d_max is None else args.d_max  # the resolved value lands in the recorded config
     if args.d_freq is not None:
-        _require(args.eps_star is None, "--eps-star starts a min-d search; drop it with --d-freq")
+        _require(not search_flags, "--eps-star and --d-max set a min-d search; drop them with --d-freq")
         u = hf.build_u_block(args.d_freq, args.n)
         fields = {"n": args.n, "d_freq": args.d_freq, "residual": hf.balancing_residual(u)}
         # one row per frequency; columns interleave Re and Im per Haar function
@@ -331,7 +333,20 @@ def _cmd_bounds(args) -> Report:
     return Report(fields, csv)
 
 
+# per tails probe, the flags only the other probe reads: it refuses them, so
+# the parser defaults them to None, and every run records these defaults
+_TAILS_REFUSED = {
+    "increment": {"sampler": "exp", "psi_k": 2.0, "t_grid": [0.1, 0.2, 0.4, 0.8, 1.6]},
+    "bernstein": {"dist": "gaussian", "variant": "two-stage", "p": 2, "lambda_grid": [0.05, 0.1, 0.2, 0.4, 0.8],
+                  **dict.fromkeys(("model", "n", "k", "n1", "n2", "rank", "i_max", "r", "b", "q"))},
+}
+
+
 def _cmd_tails(args) -> Report:
+    given = ["--" + k.replace("_", "-") for k in _TAILS_REFUSED[args.probe] if getattr(args, k) is not None]
+    _require(not given, f"--probe {args.probe} reads none of {', '.join(given)}")
+    for key, default in {**_TAILS_REFUSED["bernstein"], **_TAILS_REFUSED["increment"]}.items():
+        setattr(args, key, default if getattr(args, key) is None else getattr(args, key))
     dist = _dist_spec(args)
     if args.probe == "bernstein":
         sampler = tp.named_sampler(args.sampler.replace("-", "_"))
@@ -432,7 +447,7 @@ def _build_parser():
     sp.add_argument("--n", type=int, default=None, help="Haar block size (power of two)")
     sp.add_argument("--eps-star", type=_number, default=None)
     sp.add_argument("--d-freq", type=int, default=None, help="fixed frequency count: report the residual only")
-    sp.add_argument("--d-max", type=int, default=4096)
+    sp.add_argument("--d-max", type=int, default=None, help="largest d the min-d search tries (default 4096)")
 
     sp = new_sub("bounds", _cmd_bounds, csv=True, help="closed-form sample-complexity bounds and chaining sums")
     sp.add_argument("--theorem", type=int, choices=(1, 2), default=1)
@@ -449,17 +464,17 @@ def _build_parser():
 
     sp = new_sub("tails", _cmd_tails, help="empirical two-regime tail fits")
     sp.add_argument("--probe", choices=("bernstein", "increment"), default="bernstein")
-    sp.add_argument("--sampler", choices=("exp", "rop-gauss"), default="exp")
-    sp.add_argument("--psi-k", type=_number, default=2.0, help="single-draw psi-1 bound K (regime split)")
+    sp.add_argument("--sampler", choices=("exp", "rop-gauss"), default=None)
+    sp.add_argument("--psi-k", type=_number, default=None, help="single-draw psi-1 bound K (regime split)")
     sp.add_argument("--m", type=int, default=100)
-    sp.add_argument("--t-grid", type=_float_list, default=[0.1, 0.2, 0.4, 0.8, 1.6])
+    sp.add_argument("--t-grid", type=_float_list, default=None)
     sp.add_argument("--trials", type=int, default=20000)
     _add_model_flags(sp, points=False)
-    sp.add_argument("--dist", choices=("gaussian", "sparse-pm"), default="gaussian")
+    sp.add_argument("--dist", choices=("gaussian", "sparse-pm"), default=None)
     sp.add_argument("--q", type=_number, default=None, help="sparse-pm parameter (default 4)")
-    sp.add_argument("--variant", choices=("two-stage", "rank-one"), default="two-stage")
-    sp.add_argument("--p", type=int, choices=(1, 2), default=2)
-    sp.add_argument("--lambda-grid", type=_float_list, default=[0.05, 0.1, 0.2, 0.4, 0.8])
+    sp.add_argument("--variant", choices=("two-stage", "rank-one"), default=None)
+    sp.add_argument("--p", type=int, choices=(1, 2), default=None)
+    sp.add_argument("--lambda-grid", type=_float_list, default=None)
 
     sp = new_sub("counterexample", _cmd_counterexample, help="correlated-family isometry constants and v_k separation")
     sp.add_argument("--r", type=_number, default=None)

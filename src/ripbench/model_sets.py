@@ -145,6 +145,7 @@ class NetResult:
     radius: float
     covered_count: int
     center_ids: tuple = ()
+    radii: tuple = ()  # covering radius of each prefix of center_ids: exactly non-increasing (minima only)
 
 
 @dataclass(frozen=True)
@@ -363,7 +364,8 @@ def greedy_net(points: Union[Sequence[np.ndarray], np.ndarray], eps: float) -> N
     Starts at index 0 and repeatedly adds the point farthest from the current
     centers (lowest index on ties) until every point sits within eps of some
     center.  Guarantees: coverage within eps (closed balls), centers pairwise
-    strictly more than eps apart.
+    strictly more than eps apart.  The order does not depend on eps, so the
+    net at any eps' >= eps is the prefix up to the first radius <= eps'.
     """
     if not eps > 0.0:
         raise ValueError("eps > 0 required")
@@ -371,10 +373,11 @@ def greedy_net(points: Union[Sequence[np.ndarray], np.ndarray], eps: float) -> N
     if pts.size == 0:
         raise ValueError("points nonempty required")
     n = pts.shape[0]
-    center_ids = [0]
+    center_ids, radii = [0], []
     mindist = np.linalg.norm(pts - pts[0], axis=1)
     while True:
         far = int(np.argmax(mindist))  # argmax takes the first maximum: lowest index wins
+        radii.append(float(mindist[far]))
         if mindist[far] <= eps:
             break
         center_ids.append(far)
@@ -384,6 +387,7 @@ def greedy_net(points: Union[Sequence[np.ndarray], np.ndarray], eps: float) -> N
         radius=float(eps),
         covered_count=int(n),
         center_ids=tuple(center_ids),
+        radii=tuple(radii),
     )
 
 
@@ -401,7 +405,8 @@ def boxdim_fit(points: Sequence[np.ndarray], eps_grid: Sequence[float]) -> BoxDi
         raise ValueError("eps values must lie in (0, 1)")
     if any(grid[i] <= grid[i + 1] for i in range(len(grid) - 1)):
         raise ValueError("eps_grid must be strictly decreasing")
-    counts = [len(greedy_net(points, e).centers) for e in grid]
+    radii = np.array(greedy_net(points, grid[-1]).radii)  # its prefixes are the nets at larger eps
+    counts = [1 + int(np.count_nonzero(radii > e)) for e in grid]
     monotone = all(counts[i] <= counts[i + 1] for i in range(len(counts) - 1))
     x = np.log(1.0 / np.asarray(grid))
     y = np.log(np.asarray(counts, dtype=float))

@@ -528,6 +528,7 @@ BOUNDS_ARGS = ("bounds", "--s", "4", "--eps-s", "0.25", "--delta", "0.5", "--xi"
     ("net", "--points", "{points}", "--count", "5", "--eps", "0.5"),
     ("net", "--model", "correlated", "--r", "0.5", "--b", "1", "--i-max", "6", "--count", "3", "--eps", "0.5"),
     ("haar-fourier", "--n", "8", "--d-freq", "3", "--eps-star", "0.1"),
+    ("haar-fourier", "--n", "8", "--d-freq", "3", "--d-max", "1"),
     (*BOUNDS_ARGS, "--theorem", "1", "--p", "2", "--c1", "5"),
     (*BOUNDS_ARGS, "--theorem", "2", "--p", "2", "--c1", "5"),
     (*BOUNDS_ARGS, "--theorem", "2", "--p", "1", "--c2", "5"),
@@ -535,7 +536,7 @@ BOUNDS_ARGS = ("bounds", "--s", "4", "--eps-s", "0.25", "--delta", "0.5", "--xi"
     ("rip-sweep", "--model", "sparse", "--n", "6", "--k", "2", "--m-list", "4", "--q", "2"),
     ("tails", "--q", "2"),
     ("tails", "--probe", "increment", "--model", "sparse", "--n", "6", "--k", "2", "--m", "5", "--q", "2"),
-], ids=["net-points-count", "net-correlated-count", "haar-fourier-d-freq-eps-star",
+], ids=["net-points-count", "net-correlated-count", "haar-fourier-d-freq-eps-star", "haar-fourier-d-freq-d-max",
         "bounds-theorem-1-p-c1", "bounds-theorem-2-c1", "bounds-theorem-2-c2", "rop-gaussian-q",
         "rip-sweep-gaussian-q", "tails-bernstein-q", "tails-increment-gaussian-q"])
 def test_flags_a_run_ignores_are_refused(capsys, tmp_path, argv):
@@ -547,6 +548,26 @@ def test_flags_a_run_ignores_are_refused(capsys, tmp_path, argv):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert json.loads(err)["error"] == "config"
+
+
+@pytest.mark.parametrize("probe, base, refused", [
+    ("bernstein", ("--m", "5", "--trials", "1000"),
+     [("--model", "sparse"), ("--n", "6"), ("--k", "2"), ("--n1", "3"), ("--n2", "3"), ("--rank", "1"),
+      ("--i-max", "4"), ("--r", "0.5"), ("--b", "1"), ("--dist", "gaussian"), ("--q", "4"),
+      ("--variant", "two-stage"), ("--p", "2"), ("--lambda-grid", "0.1")]),
+    ("increment", ("--model", "sparse", "--n", "6", "--k", "2", "--m", "5", "--trials", "1000"),
+     [("--sampler", "exp"), ("--psi-k", "2"), ("--t-grid", "0.1")]),
+], ids=["bernstein", "increment"])
+def test_tails_refuses_the_other_probes_flags(capsys, probe, base, refused):
+    # refused even at its default value: the run would ignore it
+    for flag in refused:
+        rc, out, err = run(capsys, "tails", "--probe", probe, *base, *flag, "--seed", "0")
+        assert (rc, out) == (2, "")
+        assert flag[0] in json.loads(err)["message"]
+    # the refused flags' defaults are still resolved into the recorded config
+    config = run_json(capsys, "tails", "--probe", probe, *base, "--seed", "0")["config"]
+    resolved = {k: config[k] for k in ("sampler", "psi_k", "dist", "q", "p")}
+    assert resolved == {"sampler": "exp", "psi_k": 2.0, "dist": "gaussian", "q": 4.0, "p": 2}
 
 
 def test_flags_are_kept_where_a_run_reads_them(capsys, tmp_path):
@@ -697,7 +718,7 @@ BASE = {
     "rop": "--n1 3 --n2 3 --m 10 --trials 5",
     "haar-fourier": "--n 4 --eps-star 0.5 --d-max 64",
     "bounds": "--s 4 --eps-s 0.25 --delta 0.5 --xi 0.1",
-    "tails": "--model sparse --n 6 --k 2 --m 5 --trials 1000",
+    "tails": "--probe increment --model sparse --n 6 --k 2 --m 5 --trials 1000",
     "counterexample": "--r 0.5 --b 1 --i-max 10",
 }
 UNDRAWN = {"help", "seed", "out", "config", "points"}  # files and the fixed seed

@@ -149,6 +149,51 @@ def test_min_d_first_passing():
     assert hf.balancing_residual(hf.build_u_block(res.d - 1, 2)) > 0.19
 
 
+def _scan_residuals(n, d_max):
+    """Residual at every d = 1..d_max, accumulated as the linear scan that the
+    bracket search replaced does it: one rank-one term per row, in order."""
+    block = hf.build_u_block(d_max, n)
+    G, out = np.zeros((n, n)), []
+    for row in block.entries:
+        G = G + np.outer(row.conj(), row).real
+        out.append(hf.spectral_norm_sym(G - np.eye(n)))
+    return out
+
+
+def _scan_min_d(resids, eps_star):
+    """(found, d, residual) of the linear scan: the first d that passes, or the
+    residual at d_max."""
+    for d, r in enumerate(resids, start=1):
+        if r <= eps_star:
+            return True, d, r
+    return False, None, resids[-1]
+
+
+def test_min_d_matches_linear_scan_bit_for_bit():
+    # thresholds come from this run's scan: the last bits of eigvalsh depend
+    # on the BLAS build and thread count, so none is hard-coded
+    d_max, plateaus = 50, 0
+    for n in (1, 2, 4, 8, 16, 32):
+        resids = _scan_residuals(n, d_max)
+        plateaus += sum(b > a for a, b in zip(resids, resids[1:]))
+        eps_grid = {0.5, 0.2, 0.1, 0.05, 1e-6}  # 1e-6: not found within d_max
+        for r in set(resids):
+            eps_grid.update(x for x in (np.nextafter(r, 0.0), r, np.nextafter(r, 1.0)) if 0.0 < x < 1.0)
+        for eps in sorted(eps_grid):
+            res = hf.min_d_for_eps(n, float(eps), d_max=d_max)
+            assert (res.found, res.d, res.residual) == _scan_min_d(resids, eps), (n, eps)
+    assert plateaus > 0  # the grid holds residual upticks, where plain bisection errs
+    assert not hf.min_d_for_eps(16, 1e-6, d_max=d_max).found
+
+
+def test_ublock_rows_are_prefix_stable():
+    for n in (1, 8, 64):
+        full = hf.build_u_block(300, n)
+        for d in (1, 2, 37, 128, 300):
+            assert hf.build_u_block(d, n).entries.tobytes() == full.entries[:d].tobytes()
+            assert hf.build_u_block(d, n).freq_order == full.freq_order[:d]
+
+
 def _min_d_report(capsys, *flags):
     rc = cli.main(["haar-fourier", *flags, "--seed", "0"])
     rep = json.loads(capsys.readouterr().out)

@@ -230,6 +230,50 @@ def test_net_deterministic_tie_break():
     assert a.center_ids == b.center_ids
 
 
+def _net_ids_oracle(pts, eps):
+    """The farthest-point net run afresh for one eps, as boxdim_fit did per
+    grid value before it read every count off one traversal."""
+    pts = np.ascontiguousarray(pts, dtype=float)  # row sums in another order can move argmax ties
+    ids = [0]
+    mindist = np.linalg.norm(pts - pts[0], axis=1)
+    while mindist.max() > eps:
+        ids.append(int(np.argmax(mindist)))
+        mindist = np.minimum(mindist, np.linalg.norm(pts - pts[ids[-1]], axis=1))
+    return ids
+
+
+def _tie_heavy_sets():
+    lattice = 0.25 * np.array(list(itertools.product(range(5), repeat=2)), dtype=float)
+    return {
+        "lattice": lattice,  # pairwise distances repeat, and equal grid values exactly
+        "duplicates": np.repeat(lattice[::3], 3, axis=0),
+        "sparse-secants": ms.normalized_secants(ms.Sparse(12, 2), count=400, seed=5).directions.T,
+        "sparse-points": ms.sample_sparse_unit(12, 3, 400, seed=8),
+    }
+
+
+@pytest.mark.parametrize("name", ["lattice", "duplicates", "sparse-secants", "sparse-points"])
+def test_boxdim_counts_match_per_eps_nets(name):
+    pts = _tie_heavy_sets()[name]
+    grid = [0.9, 0.75, 0.5, 0.35, 0.25, 0.2]
+    fit = ms.boxdim_fit(pts, grid)
+    assert fit.counts == tuple(len(_net_ids_oracle(pts, e)) for e in grid)
+    for e in grid:
+        assert ms.greedy_net(pts, e).center_ids == tuple(_net_ids_oracle(pts, e))
+
+
+@pytest.mark.parametrize("name", ["lattice", "duplicates", "sparse-secants"])
+def test_net_at_larger_eps_is_a_prefix(name):
+    pts = _tie_heavy_sets()[name]
+    fine = ms.greedy_net(pts, 0.2)
+    for e in (0.9, 0.5, 0.25):
+        ids = ms.greedy_net(pts, e).center_ids
+        k = len(ids)
+        assert ids == fine.center_ids[:k]
+        assert fine.radii[k - 1] <= e and (k == 1 or fine.radii[k - 2] > e)
+    assert all(a >= b for a, b in zip(fine.radii, fine.radii[1:]))
+
+
 # ---------------------------------------------------------------------------
 # box dimension
 # ---------------------------------------------------------------------------

@@ -5,21 +5,27 @@ Every stochastic operation in this package derives its randomness from
 the same draws no matter which order items are evaluated in, how many
 threads run, or whether the loop is later extended past i.
 
-Map rows are keyed by block rather than by row: rows [b B, (b+1) B) of a
-map come from one row-major draw on (seed, CH_ROW, b), B = ROW_BLOCK in
-`embeddings`.  numpy fills arrays sequentially, so row i is the same for
-every m > i and a smaller map stays a row prefix of a larger one.
+Map rows (channel CH_ROW) and model points (CH_POINT) are keyed by block:
+items [b BLOCK, (b+1) BLOCK) come from substream (seed, channel, b).  numpy
+fills arrays sequentially and a block of points is always drawn in full, so
+item i is the same for every count > i: a smaller map is a row prefix of a
+larger one.
 
 RNG_LAYOUT numbers the mapping from keys to draws; it changes whenever
 seeded outputs change on purpose.  Layout 1 keyed every map row by its own
-substream (seed, CH_ROW, i); layout 2 keys rows by block of ROW_BLOCK.
+substream (seed, CH_ROW, i); layout 2 keyed rows by block; layout 3 keys
+model points by block too (not (seed, i) per point) and gives each sweep
+trial t one map (seed, CH_TRIAL, t) whose m-row prefixes serve every m.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-RNG_LAYOUT = 2
+RNG_LAYOUT = 3
+
+# items per substream for map rows and model points
+BLOCK = 256
 
 # channel tags keeping unrelated draw streams of one operation disjoint
 CH_ROW = 1
@@ -28,6 +34,7 @@ CH_MAP = 3
 CH_TRIAL = 4
 CH_MU = 5
 CH_BATCH = 6
+CH_POINT = 7
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:

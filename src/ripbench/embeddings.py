@@ -11,7 +11,7 @@ The range of the stage-one block carries the min-norm-preimage norm
 form sqrt(y^T G^{-1} y); its dual is sqrt(a^T G a).
 
 Random matrices are keyed by row block: rows [b B, (b+1) B) with
-B = ROW_BLOCK come from one draw on substream (seed, CH_ROW, b), filled in
+B = _rng.BLOCK come from one draw on substream (seed, CH_ROW, b), filled in
 row-major order.  Row i is therefore entry i % B of block i // B whatever m
 is, so the m-row map is a row prefix of any larger map with the same seed
 (a map can be extended in m without re-drawing earlier rows), and a JSON
@@ -27,10 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._rng import CH_ROW, substream
-
-# rows per substream in _draw_rows; part of the random-stream layout (RNG_LAYOUT)
-ROW_BLOCK = 256
+from ._rng import BLOCK, CH_ROW, substream
 
 __all__ = [
     "DistSpec",
@@ -217,10 +214,10 @@ class MeasurementMap:
 
 
 def _draw_rows(dist: DistSpec, m: int, width: int, seed: int) -> np.ndarray:
-    """m x width entries, one substream per ROW_BLOCK rows (see module docstring)."""
+    """m x width entries, one substream per BLOCK rows (see module docstring)."""
     return np.concatenate([
-        draw_dist(dist, (min(ROW_BLOCK, m - start), width), substream(seed, CH_ROW, start // ROW_BLOCK))
-        for start in range(0, m, ROW_BLOCK)
+        draw_dist(dist, (min(BLOCK, m - start), width), substream(seed, CH_ROW, start // BLOCK))
+        for start in range(0, m, BLOCK)
     ])
 
 
@@ -293,10 +290,17 @@ def apply_columns(L: MeasurementMap, X: np.ndarray) -> np.ndarray:
     if L.variant == "rank_one":
         if X.shape[1] == 1:
             return np.einsum("ij,jk,ik->i", L.a_vecs, X.reshape(L.n1, L.n2), L.b_vecs)[:, None] / L.m
-        rows = (L.a_vecs[:, :, None] * L.b_vecs[:, None, :]).reshape(L.m, L.input_dim)
-        return (rows @ X) / L.m
+        return (measurement_rows(L) @ X) / L.m
     Y = L.stage_one.basis_block @ X if L.stage_one is not None else X
     return (L.matrix @ Y) * L.scale
+
+
+def measurement_rows(L: MeasurementMap) -> np.ndarray:
+    """The m unscaled rows of a drawn map, acting on b(x) (two-stage: the
+    random matrix) or on vec(M) (rank-one: the Khatri-Rao rows vec(a_i b_i^T))."""
+    if L.variant == "rank_one":
+        return (L.a_vecs[:, :, None] * L.b_vecs[:, None, :]).reshape(L.m, L.input_dim)
+    return L.matrix
 
 
 def storage_cost(L: MeasurementMap) -> int:

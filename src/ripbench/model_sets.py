@@ -9,9 +9,11 @@ secant samples (unit-normalized differences of model points, returned as a
 farthest-point epsilon nets, least-squares box-dimension fits, and the
 closed-form isometry constants of the correlated family.
 
-All sampling is reproducible: item i of any Monte-Carlo loop draws from the
-substream (seed, i), so outputs are independent of evaluation order and can
-be extended without re-drawing earlier items.
+All sampling is reproducible and prefix-stable.  Model points come in
+blocks of _rng.BLOCK, block b drawn in full from substream (seed, CH_POINT,
+b), so point i is the same for every count > i; sampled pairs of explicit
+points draw pair i from substream (seed, i).  Outputs are independent of
+evaluation order and can be extended without re-drawing earlier items.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from ._rng import substream
+from ._rng import BLOCK, CH_POINT, substream
 
 __all__ = [
     "Sparse",
@@ -179,41 +181,41 @@ def _column_norms(X: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(Xt, Xt))
 
 
-def sample_sparse_unit(n: int, k: int, count: int, seed: int) -> np.ndarray:
-    """Draw `count` k-sparse unit vectors as rows: uniform support, normal values, normalized."""
-    Sparse(n, k)
+def _point_blocks(count: int, seed: int, draw) -> np.ndarray:
+    """Rows [0, count) of a model-point stream: block b is the BLOCK rows that
+    draw(substream(seed, CH_POINT, b)) returns, always drawn in full."""
     if count < 1:
         raise ValueError("count >= 1 required")
-    out = np.zeros((count, n))
-    for i in range(count):
-        rng = substream(seed, i)
-        while True:
-            support = rng.choice(n, size=k, replace=False)
-            vals = rng.standard_normal(k)
-            nrm = np.linalg.norm(vals)
-            if nrm > 0.0:  # the all-zero draw has probability zero
-                break
-        out[i, support] = vals / nrm
-    return out
+    return np.concatenate([draw(substream(seed, CH_POINT, b)) for b in range(-(-count // BLOCK))])[:count]
+
+
+def sample_sparse_unit(n: int, k: int, count: int, seed: int) -> np.ndarray:
+    """Draw `count` k-sparse unit vectors as rows: uniform support (the k
+    smallest of n uniforms), normal values, normalized."""
+    Sparse(n, k)
+
+    def block(rng):
+        # sorted, so the support order does not depend on argpartition's internals
+        support = np.sort(np.argpartition(rng.random((BLOCK, n)), k - 1, axis=1)[:, :k], axis=1)
+        vals = rng.standard_normal((BLOCK, k))
+        out = np.zeros((BLOCK, n))
+        np.put_along_axis(out, support, vals / _column_norms(vals.T)[:, None], axis=1)
+        return out
+
+    return _point_blocks(count, seed, block)
 
 
 def sample_lowrank_unit(n1: int, n2: int, r: int, count: int, seed: int) -> np.ndarray:
     """Unit-Frobenius rank <= r matrices G1 @ G2.T, flattened row-major into rows."""
     LowRank(n1, n2, r)
-    if count < 1:
-        raise ValueError("count >= 1 required")
-    out = np.empty((count, n1 * n2))
-    for i in range(count):
-        rng = substream(seed, i)
-        while True:
-            g1 = rng.standard_normal((n1, r))
-            g2 = rng.standard_normal((n2, r))
-            m = g1 @ g2.T
-            nrm = np.linalg.norm(m)
-            if nrm > 0.0:
-                break
-        out[i] = (m / nrm).reshape(-1)
-    return out
+
+    def block(rng):
+        g1 = rng.standard_normal((BLOCK, n1, r))
+        g2 = rng.standard_normal((BLOCK, n2, r))
+        M = (g1 @ g2.transpose(0, 2, 1)).reshape(BLOCK, n1 * n2)
+        return M / _column_norms(M.T)[:, None]
+
+    return _point_blocks(count, seed, block)
 
 
 def correlated_sequence(r: float, b: float, i_max: int) -> np.ndarray:
@@ -372,6 +374,8 @@ def greedy_net(points: Union[Sequence[np.ndarray], np.ndarray], eps: float) -> N
     pts = np.ascontiguousarray(points, dtype=float)
     if pts.size == 0:
         raise ValueError("points nonempty required")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("non-finite coordinates")
     n = pts.shape[0]
     center_ids, radii = [0], []
     mindist = np.linalg.norm(pts - pts[0], axis=1)

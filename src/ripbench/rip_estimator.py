@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -26,6 +26,7 @@ from .embeddings import (
     MeasurementMap,
     StageOneMap,
     apply_columns,
+    measurement_rows,
     rank_one_map,
     two_stage_map,
 )
@@ -111,6 +112,8 @@ class SweepRow:
     trials: int
     p: int
     seed: int
+    mu_mode: str          # resolved semi-norm mode at this m
+    mu_stderr_max: float  # largest Monte-Carlo standard error of mu over the secants (0 if analytic)
 
 
 def pnorm_p(Z: np.ndarray, p: int):
@@ -243,6 +246,28 @@ def delta_extremes(spec: MuNormSpec, secants: Secants, p: int):
     return float(vals.min()), float(vals.max())
 
 
+def _prefix_pnorms(L: MeasurementMap, X: np.ndarray, m_list: Sequence[int], p: int) -> np.ndarray:
+    """||L_m x||_p^p per m in the ascending m_list (rows) and column x of X
+    (columns), L_m the m-row prefix of L (L.m = m_list[-1]).  For p = 2 and
+    |m_list| d < L.m (d the row width), b(x)^T G_m b(x) with the Gram G_m of
+    the first m rows grown between consecutive m; else |y|^p of one
+    apply_columns product summed between consecutive m."""
+    m = np.asarray(m_list, dtype=float)[:, None]
+    cuts = list(zip([0, *m_list], m_list))
+    power = p if L.variant == "rank_one" else 1  # L_m divides sum_i |a_i . b(x)|^p by m^power
+    if p == 2 and len(m_list) * (L.input_dim if L.stage_one is None else L.stage_one.d) < L.m:
+        A = measurement_rows(L)
+        Y = X if L.stage_one is None else L.stage_one.basis_block @ X
+        G = np.zeros((A.shape[1], A.shape[1]))
+        sums = []
+        for lo, hi in cuts:
+            G += A[lo:hi].T @ A[lo:hi]
+            sums.append(np.sum((G @ Y) * Y, axis=0))
+        return np.array(sums) / m ** power
+    Y = apply_columns(L, X)  # scaled for L.m rows
+    return np.cumsum([pnorm_p(Y[lo:hi], p) for lo, hi in cuts], axis=0) * (L.m / m) ** power
+
+
 def rip_sweep(
     model: ModelSpec,
     dist: DistSpec,
@@ -262,8 +287,10 @@ def rip_sweep(
     """Median and quartiles of delta_p per m over independent map draws.
 
     One secant sample, drawn from substream (seed, secant channel), serves
-    every (m, trial) cell; the map for trial t at size m comes from substream
-    (seed, trial channel, m, t), so rows are reproducible cell by cell.
+    every (m, trial) cell.  Trial t draws one map with m_list[-1] rows from
+    substream (seed, trial channel, t); its m-row prefix is the trial's map
+    at size m, so the deltas of one trial at different m are correlated
+    while the quartiles stay per-m statistics over independent trials.
     """
     for name, count in (("trials", trials), ("n_secants", n_secants), ("threads", threads)):
         if count < 1:
@@ -272,23 +299,20 @@ def rip_sweep(
     if not m_list or any(m_list[i] >= m_list[i + 1] for i in range(len(m_list) - 1)):
         raise ValueError("m_list must be nonempty and strictly ascending")
     secants = normalized_secants(model, count=n_secants, seed=child_seed(seed, CH_SECANT))
-    rows = []
-    for m in m_list:
-        spec_m = MuNormSpec(
-            mode=mu_mode, dist=dist, variant=variant, m=m, stage_one=stage_one, ambient_dim=len(secants.directions),
-            n1=n1, n2=n2, n_resample=n_resample, seed=child_seed(seed, CH_MAP, 0),
-        )
-        mu_vec = mu_pnorm(spec_m, secants.directions, p).value
+    X = secants.directions
+    spec = MuNormSpec(
+        mode=mu_mode, dist=dist, variant=variant, m=m_list[-1], stage_one=stage_one, ambient_dim=len(X),
+        n1=n1, n2=n2, n_resample=n_resample, seed=child_seed(seed, CH_MAP, 0),
+    )
+    mus = [mu_pnorm(replace(spec, m=m), X, p) for m in m_list]
+    mu = np.array([u.value for u in mus])
 
-        def one_trial(t: int, m=m, spec_m=spec_m, mu_vec=mu_vec) -> float:
-            L = _draw_map(spec_m, child_seed(seed, CH_TRIAL, m, t), p)
-            return empirical_delta(L, secants, p, mu_vec).delta_p
+    def one_trial(t: int) -> np.ndarray:
+        L = _draw_map(spec, child_seed(seed, CH_TRIAL, t), p)
+        return np.abs(_prefix_pnorms(L, X, m_list, p) - mu).max(axis=1)
 
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                deltas = list(pool.map(one_trial, range(trials)))
-        else:
-            deltas = [one_trial(t) for t in range(trials)]
-        q1, med, q3 = np.percentile(deltas, [25.0, 50.0, 75.0])
-        rows.append(SweepRow(m, float(med), float(q1), float(q3), trials, p, seed))
-    return rows
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        deltas = np.array(list(pool.map(one_trial, range(trials))))
+    q1, med, q3 = np.percentile(deltas, [25.0, 50.0, 75.0], axis=0)
+    return [SweepRow(m, float(med[j]), float(q1[j]), float(q3[j]), trials, p, seed, u.mode, float(np.max(u.stderr)))
+            for j, (m, u) in enumerate(zip(m_list, mus))]

@@ -156,7 +156,7 @@ def test_rip_sweep_csv_contract(capsys):
     rc, out, err = run(capsys, *SWEEP_ARGS, "--format", "csv")
     assert rc == 0
     lines = out.strip().splitlines()
-    assert lines[0] == "m,delta_median,delta_q1,delta_q3,trials,p,seed"
+    assert lines[0] == "m,delta_median,delta_q1,delta_q3,trials,p,seed,mu_mode,mu_stderr_max"
     assert lines[-1].startswith("# config: ")
     assert len(lines) == 4
     assert lines[1].split(",")[0] == "4"

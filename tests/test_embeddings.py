@@ -6,6 +6,7 @@ import pytest
 
 from ripbench import embeddings as em
 from ripbench import model_sets as ms
+from ripbench._rng import BLOCK
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +205,7 @@ def test_rows_extendable_in_m():
     Lb = em.two_stage_map(None, em.gaussian(), 8, p=2, seed=33, ambient_dim=5)
     np.testing.assert_array_equal(La.matrix, Lb.matrix[:4])
     # across the row-block boundary, for both laws and both map families
-    B = em.ROW_BLOCK
+    B = BLOCK
     big = 2 * B + 3
     for dist in (em.gaussian(), em.sparse_pm(4.0)):
         full = em.two_stage_map(None, dist, big, p=2, seed=33, ambient_dim=5).matrix
@@ -234,7 +235,7 @@ def test_descriptor_roundtrip_two_stage():
 
 
 def test_descriptor_roundtrip_beyond_one_row_block():
-    m = 2 * em.ROW_BLOCK + 3
+    m = 2 * BLOCK + 3
     for L in (em.two_stage_map(None, em.sparse_pm(4.0), m, p=2, seed=5, ambient_dim=6),
               em.rank_one_map(m, 3, 2, em.gaussian(), seed=5)):
         back = em.map_from_descriptor(em.map_to_descriptor(L))

@@ -1,6 +1,10 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,6 +64,30 @@ def test_lowrank_rank_bound_batch():
     for x in ms.sample_lowrank_unit(4, 4, 2, 500, seed=2):
         sv = np.linalg.svd(x.reshape(4, 4), compute_uv=False)
         assert sv[2] <= 1e-10
+
+
+@pytest.mark.parametrize("sample", [
+    lambda count: ms.sample_sparse_unit(12, 3, count, seed=4),
+    lambda count: ms.sample_lowrank_unit(3, 4, 2, count, seed=4),
+], ids=["sparse", "lowrank"])
+def test_model_points_prefix_stable_across_blocks(sample):
+    # points come 256 to a substream; counts around the block edge are prefixes
+    full = sample(600)
+    for count in (255, 256, 257):
+        assert sample(count).tobytes() == full[:count].tobytes()
+
+
+def test_sparse_rows_have_k_nonzeros_and_unit_norm():
+    pts = ms.sample_sparse_unit(10, 3, 600, seed=6)
+    assert np.all(np.count_nonzero(pts, axis=1) == 3)
+    np.testing.assert_allclose(np.linalg.norm(pts, axis=1), 1.0, rtol=0.0, atol=1e-12)
+
+
+def test_lowrank_rows_have_rank_r_and_unit_frobenius():
+    pts = ms.sample_lowrank_unit(4, 5, 2, 600, seed=6)
+    sv = np.linalg.svd(pts.reshape(-1, 4, 5), compute_uv=False)
+    assert np.all(sv[:, 2:] <= 1e-10 * sv[:, :1])
+    np.testing.assert_allclose(np.linalg.norm(pts, axis=1), 1.0, rtol=0.0, atol=1e-12)
 
 
 def test_lowrank_rejects_bad_rank():
@@ -228,6 +256,18 @@ def test_net_deterministic_tie_break():
     a = ms.greedy_net(CROSS, 0.5)
     b = ms.greedy_net(CROSS, 0.5)
     assert a.center_ids == b.center_ids
+
+
+def test_net_and_boxdim_reject_nan_promptly():
+    # a NaN coordinate must raise, not leave the farthest-point loop adding
+    # centers forever: run it in a child process that a hang fails by timeout
+    code = ("import numpy as np\nfrom ripbench import model_sets as ms\n"
+            "pts = np.array([[0., 0.], [np.nan, 0.], [1., 0.]])\n"
+            "for call in (lambda: ms.greedy_net(pts, 0.5), lambda: ms.boxdim_fit(pts, [0.5, 0.3, 0.1])):\n"
+            "    try:\n        call()\n    except ValueError as e:\n        print(e)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(ms.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=10)
+    assert out.stdout.splitlines() == ["non-finite coordinates"] * 2, out.stderr
 
 
 def _net_ids_oracle(pts, eps):

@@ -11,7 +11,8 @@ import ripbench.cli as cli
 import ripbench.embeddings as em
 import ripbench.model_sets as ms
 import ripbench.rip_estimator as ripest
-from ripbench._rng import CH_SECANT, CH_TRIAL, child_seed
+from ripbench import _rng
+from ripbench._rng import BLOCK, CH_SECANT, CH_TRIAL, child_seed
 
 
 def _two_stage_spec(mode, n, m, dist=None, **kw):
@@ -333,12 +334,70 @@ def test_sweep_single_cell_reconstructs():
     row = rows[0]
     assert (row.m, row.trials, row.p, row.seed) == (m, 1, p, seed)
     assert row.delta_median == row.delta_q1 == row.delta_q3
-    # rebuild the one cell from the documented substream layout
+    # rebuild the one cell from the documented substream layout; the sweep
+    # scores p = 2 through the Gram of the rows, a different summation order
     secants = ms.normalized_secants(model, count=n_sec, seed=child_seed(seed, CH_SECANT))
     L = em.two_stage_map(None, em.gaussian(), m, p,
-                         child_seed(seed, CH_TRIAL, m, 0), ambient_dim=8)
+                         child_seed(seed, CH_TRIAL, 0), ambient_dim=8)
     rep = ripest.empirical_delta(L, secants, p, [1.0] * n_sec)
     assert abs(row.delta_median - rep.delta_p) < 1e-15
+
+
+_STAGE_ONE = em.build_stage_one(np.random.default_rng(0).standard_normal((5, 8)))
+
+
+# (model, variant, stage one, p, Gram side of the rule); m = 250..270 crosses
+# the 256-row block edge, and |m_list| d < 270 selects the Gram for p = 2
+@pytest.mark.parametrize("model, variant, stage_one, p, gram", [
+    (ms.Sparse(8, 2), "two_stage", None, 2, True),
+    (ms.Sparse(8, 2), "two_stage", None, 1, False),
+    (ms.LowRank(3, 3, 1), "rank_one", None, 2, True),     # 3 * 9 < 270
+    (ms.LowRank(10, 10, 1), "rank_one", None, 2, False),  # 3 * 100 >= 270
+    (ms.Sparse(8, 2), "two_stage", _STAGE_ONE, 2, True),
+    (ms.Sparse(8, 2), "two_stage", _STAGE_ONE, 1, False),
+], ids=["sparse-p2", "sparse-p1", "rank-one-p2-gram", "rank-one-p2-product",
+        "stage-one-p2", "stage-one-p1"])
+def test_nested_sweep_matches_maps_built_per_cell(monkeypatch, model, variant, stage_one, p, gram):
+    seed, m_list, n_sec, trials = 61, [16, 250, 270], 40, 3
+    rank_one = variant == "rank_one"
+    n1, n2 = (model.n1, model.n2) if rank_one else (0, 0)
+    applied = []
+    monkeypatch.setattr(ripest, "apply_columns", lambda L, X: applied.append(L.m) or em.apply_columns(L, X))
+    rows = ripest.rip_sweep(model, em.gaussian(), m_list, p, n_sec, trials, seed,
+                            variant=variant, stage_one=stage_one, n1=n1, n2=n2, mu_mode="analytic")
+    assert applied == ([] if gram else [m_list[-1]] * trials)
+    # oracle: every cell (m, t) from its own m-row map on the trial key
+    X = ms.normalized_secants(model, count=n_sec, seed=child_seed(seed, CH_SECANT)).directions
+    cells = np.empty((len(m_list), trials))
+    for i, m in enumerate(m_list):
+        spec = ripest.MuNormSpec(mode="analytic", dist=em.gaussian(), variant=variant, m=m,
+                                 stage_one=stage_one, ambient_dim=len(X), n1=n1, n2=n2)
+        mu = ripest.mu_pnorm(spec, X, p).value
+        for t in range(trials):
+            key = child_seed(seed, CH_TRIAL, t)
+            L = (em.rank_one_map(m, n1, n2, em.gaussian(), key) if rank_one else
+                 em.two_stage_map(stage_one, em.gaussian(), m, p, key, ambient_dim=None if stage_one else 8))
+            cells[i, t] = np.max(np.abs(ripest.pnorm_p(em.apply_columns(L, X), p) - mu))
+    # the quartiles of three trials fix all three sorted deltas of each m
+    want = np.percentile(cells, [25.0, 50.0, 75.0], axis=1)
+    got = np.array([[r.delta_q1 for r in rows], [r.delta_median for r in rows], [r.delta_q3 for r in rows]])
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def test_sweep_substreams_scale_with_trials_and_blocks(monkeypatch):
+    calls = []
+
+    def counting(*key):
+        calls.append(key)
+        return _rng.substream(*key)
+
+    for mod in (em, ms):
+        monkeypatch.setattr(mod, "substream", counting)
+    trials, m_list, n_sec = 4, [64, 300, 600], 500
+    ripest.rip_sweep(ms.Sparse(n=16, k=3), em.gaussian(), m_list, 2, n_sec, trials, 3)
+    # one 600-row map per trial (3 row blocks) and 2 * 500 points (4 blocks):
+    # nothing per point and nothing per (m, t)
+    assert len(calls) == trials * -(-m_list[-1] // BLOCK) + -(-2 * n_sec // BLOCK)
 
 
 def test_sweep_median_shrinks_with_m():
@@ -422,6 +481,7 @@ def test_sweep_auto_mu_falls_back_to_monte_carlo():
     )
     assert math.isfinite(rows[0].delta_median)
     assert rows[0].delta_median >= 0.0
+    assert rows[0].mu_mode == "monte_carlo" and 0.0 < rows[0].mu_stderr_max < math.inf
 
 
 def test_sweep_auto_matches_explicit_analytic():
@@ -446,12 +506,12 @@ def test_sweep_csv_header_and_rows(capsys):
     out = _sweep_report(capsys, "--m-list", "4,8", "--n-secants", "10", "--trials", "3",
                         "--seed", "41", "--format", "csv")
     lines = out.splitlines()
-    assert lines[0] == "m,delta_median,delta_q1,delta_q3,trials,p,seed"
+    assert lines[0] == "m,delta_median,delta_q1,delta_q3,trials,p,seed,mu_mode,mu_stderr_max"
     assert len(lines) == 4 and lines[3].startswith("# config: ")
     rows = ripest.rip_sweep(ms.Sparse(n=6, k=1), em.gaussian(), [4, 8], 2, 10, 3, 41)
     for line, row in zip(lines[1:3], rows):
         assert line == (f"{row.m},{row.delta_median:.17g},{row.delta_q1:.17g},{row.delta_q3:.17g},"
-                        f"{row.trials},{row.p},{row.seed}")
+                        f"{row.trials},{row.p},{row.seed},analytic,0")
     first = lines[1].split(",")
     assert first[0] == "4" and first[4] == "3" and first[5] == "2" and first[6] == "41"
     assert float(first[1]) == rows[0].delta_median  # %.17g round-trips a double
@@ -465,6 +525,6 @@ def test_sweep_json_round_trip(capsys):
         {
             "m": 4, "delta_median": rows[0].delta_median,
             "delta_q1": rows[0].delta_q1, "delta_q3": rows[0].delta_q3,
-            "trials": 2, "p": 1, "seed": 15,
+            "trials": 2, "p": 1, "seed": 15, "mu_mode": "analytic", "mu_stderr_max": 0.0,
         }
     ]

@@ -550,6 +550,8 @@ def main(argv=None) -> int:
         return _fail(3, "model_collapse", str(exc))
     except (ValueError, TypeError) as exc:
         return _fail(2, "config", str(exc))
+    except ArithmeticError as exc:  # a formula overflowed or underflowed to a zero divisor
+        return _fail(2, "config", f"inputs out of floating-point range: {exc}")
     except OSError as exc:
         return _fail(2, "io", str(exc))
 

@@ -6,9 +6,11 @@ stage-one block b(x) = (<b_i, x>)_i, then hits the coordinates with an m x d
 random matrix scaled 1/m (absolute-sum geometry) or 1/sqrt(m) (squared-sum
 geometry).  A rank-one family measures a matrix M through a_i^T M b_i / m.
 
-The range of the stage-one block carries the min-norm-preimage norm
-||y||_b = inf{||z|| : b(z) = y}, realized here as the Gram-inverse quadratic
-form sqrt(y^T G^{-1} y); its dual is sqrt(a^T G a).
+A stage one is nothing but its finite d x D block B; its rows may be
+dependent and may outnumber D.  The coordinate space carries the
+min-norm-preimage norm ||y||_b = inf{||z|| : B z = y}, the norm of the
+least-squares solution of B z = y (inf off the range of B), and its dual
+norm ||B^T a||.
 
 Random matrices are keyed by row block: rows [b B, (b+1) B) with
 B = _rng.BLOCK come from one draw on substream (seed, CH_ROW, b), filled in
@@ -102,13 +104,9 @@ def sample_dist(dist: DistSpec, shape, seed: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StageOneMap:
-    """Stage-one block b(x) = basis_block @ x with its Gram geometry."""
+    """Stage-one block b(x) = basis_block @ x."""
 
     basis_block: np.ndarray  # d x D, rows are the b_i coordinates
-    gram: np.ndarray         # d x d, <b_i, b_j>
-    is_orthonormal: bool
-    cond: float
-    _chol: np.ndarray = field(repr=False, default=None, compare=False)  # lower Cholesky factor of gram
 
     @property
     def d(self) -> int:
@@ -120,25 +118,13 @@ class StageOneMap:
 
 
 def build_stage_one(basis_block, ambient_dim: Optional[int] = None) -> StageOneMap:
-    """Build the stage-one map and its Gram matrix.
-
-    Rows must be linearly independent: construction fails when the Gram is
-    singular at working precision or its condition number exceeds 1e12.
-    """
+    """Stage-one map of a finite block: any number of rows, dependent or not."""
     B = np.atleast_2d(np.asarray(basis_block, dtype=float))
+    if B.ndim != 2 or B.size == 0 or not np.all(np.isfinite(B)):
+        raise ValueError(f"need a nonempty 2-D block of finite entries, got shape {B.shape}")
     if ambient_dim is not None and B.shape[1] != ambient_dim:
         raise ValueError(f"basis rows have length {B.shape[1]}, expected {ambient_dim}")
-    if not np.all(np.isfinite(B)):
-        raise ValueError("non-finite basis entries")
-    G = B @ B.T
-    w = np.linalg.eigvalsh(G)
-    if w[0] <= 1e-12 * max(1.0, w[-1]):
-        raise ValueError("Gram matrix singular at working precision: rows are not a basis")
-    cond = float(w[-1] / w[0])
-    if cond > 1e12:
-        raise ValueError(f"Gram condition number {cond:.3e} exceeds 1e12")
-    ortho = bool(np.max(np.abs(G - np.eye(G.shape[0]))) <= 1e-10)
-    return StageOneMap(basis_block=B, gram=G, is_orthonormal=ortho, cond=cond, _chol=np.linalg.cholesky(G))
+    return StageOneMap(basis_block=B)
 
 
 def build_stage_one_from_span(vectors, tol: float = 1e-10) -> StageOneMap:
@@ -158,24 +144,29 @@ def build_stage_one_from_span(vectors, tol: float = 1e-10) -> StageOneMap:
     return build_stage_one(vt[keep])
 
 
-def apply_stage_one(stage_one: StageOneMap, x) -> np.ndarray:
-    return stage_one.basis_block @ np.asarray(x, dtype=float)
+def apply_stage_one(stage_one: Optional[StageOneMap], X) -> np.ndarray:
+    """b(x) of a vector or of each column of a batch; None is the identity."""
+    X = np.asarray(X, dtype=float)
+    return X if stage_one is None else stage_one.basis_block @ X
 
 
 def b_norm(stage_one: StageOneMap, y) -> float:
-    """Min-norm-preimage norm of a coordinate vector: sqrt(y^T G^{-1} y).
+    """Min-norm-preimage norm inf{||z|| : b(z) = y}: the norm of the
+    least-norm solution of B z = y, math.inf when y is off the range of B.
 
     Equals the Euclidean norm of the orthogonal projection of any preimage
     onto the row space, so for orthonormal rows it is just ||y||_2.
     """
-    # G = C C^T, so y^T G^{-1} y = ||C^{-1} y||^2
-    return float(np.linalg.norm(np.linalg.solve(stage_one._chol, np.asarray(y, dtype=float))))
+    B, y = stage_one.basis_block, np.asarray(y, dtype=float)
+    z, _, _, svals = np.linalg.lstsq(B, y, rcond=None)
+    size = float(np.linalg.norm(z))
+    # y is on the range when the residual is within the rounding of y and of B z
+    return size if np.linalg.norm(B @ z - y) <= 1e-9 * (np.linalg.norm(y) + svals[0] * size) else math.inf
 
 
 def b_dual_norm(stage_one: StageOneMap, a) -> float:
-    """Dual norm sup{|a^T y| : ||y||_b <= 1} = sqrt(a^T G a)."""
-    a = np.asarray(a, dtype=float)
-    return float(math.sqrt(max(float(a @ (stage_one.gram @ a)), 0.0)))
+    """Dual norm sup{|a^T y| : ||y||_b <= 1} = ||B^T a||."""
+    return float(np.linalg.norm(stage_one.basis_block.T @ np.asarray(a, dtype=float)))
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +184,6 @@ class MeasurementMap:
     seed: int
     p_scale: int = 2             # two_stage only: 1 -> divide by m, 2 -> divide by sqrt(m)
     stage_one: Optional[StageOneMap] = None
-    ambient_dim: int = 0         # two_stage input dimension when stage_one is None
     matrix: Optional[np.ndarray] = field(default=None, repr=False)
     n1: int = 0                  # rank_one row/column dims
     n2: int = 0
@@ -204,7 +194,7 @@ class MeasurementMap:
     def input_dim(self) -> int:
         if self.variant == "rank_one":
             return self.n1 * self.n2
-        return self.stage_one.ambient_dim if self.stage_one is not None else self.ambient_dim
+        return self.stage_one.ambient_dim if self.stage_one is not None else self.matrix.shape[1]
 
     @property
     def scale(self) -> float:
@@ -229,7 +219,8 @@ def two_stage_map(
     seed: int,
     ambient_dim: Optional[int] = None,
 ) -> MeasurementMap:
-    """Random second stage over a stage-one block (None = identity).
+    """Random second stage over a stage-one block (None = identity, whose
+    width ambient_dim is then required and otherwise unread).
 
     p = 1 scales measurements by 1/m, p = 2 by 1/sqrt(m); with an identity
     stage one and Gaussian entries the p = 2 case is the classical A/sqrt(m)
@@ -239,17 +230,12 @@ def two_stage_map(
         raise ValueError("need m >= 1")
     if p not in (1, 2):
         raise ValueError(f"p must be 1 or 2, got {p}")
-    if stage_one is None:
-        if ambient_dim is None or ambient_dim < 1:
-            raise ValueError("ambient_dim required for an identity stage one")
-        d = int(ambient_dim)
-    else:
-        d = stage_one.d
-        ambient_dim = stage_one.ambient_dim
-    matrix = _draw_rows(dist, m, d, seed)
+    if stage_one is None and (ambient_dim is None or ambient_dim < 1):
+        raise ValueError("ambient_dim required for an identity stage one")
+    d = int(ambient_dim) if stage_one is None else stage_one.d
     return MeasurementMap(
         variant="two_stage", m=int(m), dist=dist, seed=int(seed), p_scale=int(p),
-        stage_one=stage_one, ambient_dim=int(ambient_dim), matrix=matrix,
+        stage_one=stage_one, matrix=_draw_rows(dist, m, d, seed),
     )
 
 
@@ -291,8 +277,7 @@ def apply_columns(L: MeasurementMap, X: np.ndarray) -> np.ndarray:
         if X.shape[1] == 1:
             return np.einsum("ij,jk,ik->i", L.a_vecs, X.reshape(L.n1, L.n2), L.b_vecs)[:, None] / L.m
         return (measurement_rows(L) @ X) / L.m
-    Y = L.stage_one.basis_block @ X if L.stage_one is not None else X
-    return (L.matrix @ Y) * L.scale
+    return (L.matrix @ apply_stage_one(L.stage_one, X)) * L.scale
 
 
 def measurement_rows(L: MeasurementMap) -> np.ndarray:
@@ -330,8 +315,7 @@ def map_to_descriptor(L: MeasurementMap) -> str:
     if L.variant == "rank_one":
         dims = {"n1": L.n1, "n2": L.n2}
     else:
-        dims = {"d": L.stage_one.d if L.stage_one is not None else L.ambient_dim,
-                "ambient": L.input_dim}
+        dims = {"d": L.matrix.shape[1], "ambient": L.input_dim}
     payload = {
         "variant": L.variant,
         "m": L.m,
@@ -352,10 +336,5 @@ def map_from_descriptor(text: str) -> MeasurementMap:
     dist = DistSpec(d["dist"]["variant"], d["dist"].get("q", float("nan")))
     if d["variant"] == "rank_one":
         return rank_one_map(d["m"], d["dims"]["n1"], d["dims"]["n2"], dist, d["seed"])
-    stage_one = None
-    if d.get("stage_one") is not None:
-        stage_one = build_stage_one(np.asarray(d["stage_one"], dtype=float))
-    return two_stage_map(
-        stage_one, dist, d["m"], d["p_scale"], d["seed"],
-        ambient_dim=d["dims"]["ambient"] if stage_one is None else None,
-    )
+    stage_one = None if d.get("stage_one") is None else build_stage_one(d["stage_one"])
+    return two_stage_map(stage_one, dist, d["m"], d["p_scale"], d["seed"], ambient_dim=d["dims"]["ambient"])

@@ -132,10 +132,18 @@ def spectral_norm_sym(A: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvalsh(A))))
 
 
+def _grow_gram(G: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Add Re(row* row) for each row to G in place, in row order: the one
+    summation order of every Gram here, so a residual has the same bits
+    whichever routine computes it."""
+    for row in rows:
+        G += np.outer(row.conj(), row).real
+    return G
+
+
 def balancing_residual(u: UBlock) -> float:
     """|| Re(U* U) - I ||_2 for the truncated coefficient block."""
-    G = (u.entries.conj().T @ u.entries).real
-    return spectral_norm_sym(G - np.eye(u.n))
+    return spectral_norm_sym(_grow_gram(np.zeros((u.n, u.n)), u.entries) - np.eye(u.n))
 
 
 @dataclass(frozen=True)
@@ -182,9 +190,7 @@ def min_d_for_eps(n: int, eps_star: float, d_max: int = 4096) -> MinDResult:
         d = lo + 1 if rescan else min(max(2 * lo, 1), d_max) if hi is None else (lo + hi) // 2
         if d > len(rows):
             rows = build_u_block(d, n).entries  # rows are prefix-stable
-        G = G_lo.copy()
-        for row in rows[lo:d]:
-            G += np.outer(row.conj(), row).real
+        G = _grow_gram(G_lo.copy(), rows[lo:d])
         resid[d] = spectral_norm_sym(G - eye)
         if resid[d] <= eps_star:
             hi = d

@@ -182,11 +182,13 @@ def _column_norms(X: np.ndarray) -> np.ndarray:
 
 
 def _point_blocks(count: int, seed: int, draw) -> np.ndarray:
-    """Rows [0, count) of a model-point stream: block b is the BLOCK rows that
-    draw(substream(seed, CH_POINT, b)) returns, always drawn in full."""
+    """Rows [0, count) of a model-point stream.  Block b holds BLOCK rows
+    drawn from substream(seed, CH_POINT, b); draw(rng, rows) returns the first
+    `rows` of them, consuming the stream as the full block would."""
     if count < 1:
         raise ValueError("count >= 1 required")
-    return np.concatenate([draw(substream(seed, CH_POINT, b)) for b in range(-(-count // BLOCK))])[:count]
+    return np.concatenate([draw(substream(seed, CH_POINT, b), min(BLOCK, count - b * BLOCK))
+                           for b in range(-(-count // BLOCK))])
 
 
 def sample_sparse_unit(n: int, k: int, count: int, seed: int) -> np.ndarray:
@@ -194,11 +196,13 @@ def sample_sparse_unit(n: int, k: int, count: int, seed: int) -> np.ndarray:
     smallest of n uniforms), normal values, normalized."""
     Sparse(n, k)
 
-    def block(rng):
+    def block(rng, rows):
+        u = rng.random((rows, n))
+        rng.bit_generator.advance(int(BLOCK - rows) * n)  # skip the other rows: one 64-bit draw per double
         # sorted, so the support order does not depend on argpartition's internals
-        support = np.sort(np.argpartition(rng.random((BLOCK, n)), k - 1, axis=1)[:, :k], axis=1)
-        vals = rng.standard_normal((BLOCK, k))
-        out = np.zeros((BLOCK, n))
+        support = np.sort(np.argpartition(u, k - 1, axis=1)[:, :k], axis=1)
+        vals = rng.standard_normal((BLOCK, k))[:rows]
+        out = np.zeros((rows, n))
         np.put_along_axis(out, support, vals / _column_norms(vals.T)[:, None], axis=1)
         return out
 
@@ -209,10 +213,10 @@ def sample_lowrank_unit(n1: int, n2: int, r: int, count: int, seed: int) -> np.n
     """Unit-Frobenius rank <= r matrices G1 @ G2.T, flattened row-major into rows."""
     LowRank(n1, n2, r)
 
-    def block(rng):
-        g1 = rng.standard_normal((BLOCK, n1, r))
-        g2 = rng.standard_normal((BLOCK, n2, r))
-        M = (g1 @ g2.transpose(0, 2, 1)).reshape(BLOCK, n1 * n2)
+    def block(rng, rows):
+        g1 = rng.standard_normal((BLOCK, n1, r))[:rows]
+        g2 = rng.standard_normal((BLOCK, n2, r))[:rows]
+        M = (g1 @ g2.transpose(0, 2, 1)).reshape(rows, n1 * n2)
         return M / _column_norms(M.T)[:, None]
 
     return _point_blocks(count, seed, block)

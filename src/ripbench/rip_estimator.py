@@ -26,6 +26,7 @@ from .embeddings import (
     MeasurementMap,
     StageOneMap,
     apply_columns,
+    apply_stage_one,
     measurement_rows,
     rank_one_map,
     two_stage_map,
@@ -65,7 +66,6 @@ class MuNormSpec:
     variant: str                       # "two_stage" | "rank_one"
     m: int
     stage_one: Optional[StageOneMap] = None
-    ambient_dim: int = 0
     n1: int = 0
     n2: int = 0
     n_resample: int = 2000
@@ -128,7 +128,7 @@ def _analytic_mu(spec: MuNormSpec, X: np.ndarray, p: int) -> np.ndarray:
     """Closed-form mu(x)^p per column of X; raises unless every column has one."""
     d = spec.dist.variant
     if spec.variant == "two_stage":
-        nrm = _column_norms(spec.stage_one.basis_block @ X if spec.stage_one is not None else X)
+        nrm = _column_norms(apply_stage_one(spec.stage_one, X))
         if p == 2:
             # each scaled row contributes |a^T y|^2 / m; E (a^T y)^2 = ||y||_2^2
             # for any zero-mean unit-variance law
@@ -158,12 +158,10 @@ def _analytic_mu(spec: MuNormSpec, X: np.ndarray, p: int) -> np.ndarray:
     return np.abs(X).sum(axis=0) / spec.dist.q
 
 
-def _draw_map(spec: MuNormSpec, seed: int, p: int) -> MeasurementMap:
+def _draw_map(spec: MuNormSpec, seed: int, p: int, ambient_dim: int) -> MeasurementMap:
+    """One map of the spec's family for inputs of length ambient_dim."""
     if spec.variant == "two_stage":
-        return two_stage_map(
-            spec.stage_one, spec.dist, spec.m, p, seed,
-            ambient_dim=spec.ambient_dim if spec.stage_one is None else None,
-        )
+        return two_stage_map(spec.stage_one, spec.dist, spec.m, p, seed, ambient_dim=ambient_dim)
     return rank_one_map(spec.m, spec.n1, spec.n2, spec.dist, seed)
 
 
@@ -198,7 +196,7 @@ def mu_pnorm(spec: MuNormSpec, x, p: int) -> MuNorm:
     if mode == "monte_carlo":
         vals = np.empty((X.shape[1], spec.n_resample))
         for j in range(spec.n_resample):
-            L = _draw_map(spec, child_seed(spec.seed, CH_MAP, j), p)
+            L = _draw_map(spec, child_seed(spec.seed, CH_MAP, j), p, X.shape[0])
             vals[:, j] = pnorm_p(apply_columns(L, X), p)
         value = vals.mean(axis=1)
         stderr = (vals.std(axis=1, ddof=1) / math.sqrt(spec.n_resample) if spec.n_resample > 1
@@ -255,9 +253,9 @@ def _prefix_pnorms(L: MeasurementMap, X: np.ndarray, m_list: Sequence[int], p: i
     m = np.asarray(m_list, dtype=float)[:, None]
     cuts = list(zip([0, *m_list], m_list))
     power = p if L.variant == "rank_one" else 1  # L_m divides sum_i |a_i . b(x)|^p by m^power
-    if p == 2 and len(m_list) * (L.input_dim if L.stage_one is None else L.stage_one.d) < L.m:
-        A = measurement_rows(L)
-        Y = X if L.stage_one is None else L.stage_one.basis_block @ X
+    A = measurement_rows(L)
+    if p == 2 and len(m_list) * A.shape[1] < L.m:
+        Y = apply_stage_one(L.stage_one, X)
         G = np.zeros((A.shape[1], A.shape[1]))
         sums = []
         for lo, hi in cuts:
@@ -301,18 +299,21 @@ def rip_sweep(
     secants = normalized_secants(model, count=n_secants, seed=child_seed(seed, CH_SECANT))
     X = secants.directions
     spec = MuNormSpec(
-        mode=mu_mode, dist=dist, variant=variant, m=m_list[-1], stage_one=stage_one, ambient_dim=len(X),
+        mode=mu_mode, dist=dist, variant=variant, m=m_list[-1], stage_one=stage_one,
         n1=n1, n2=n2, n_resample=n_resample, seed=child_seed(seed, CH_MAP, 0),
     )
     mus = [mu_pnorm(replace(spec, m=m), X, p) for m in m_list]
     mu = np.array([u.value for u in mus])
 
     def one_trial(t: int) -> np.ndarray:
-        L = _draw_map(spec, child_seed(seed, CH_TRIAL, t), p)
+        L = _draw_map(spec, child_seed(seed, CH_TRIAL, t), p, len(X))
         return np.abs(_prefix_pnorms(L, X, m_list, p) - mu).max(axis=1)
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        deltas = np.array(list(pool.map(one_trial, range(trials))))
+    if threads == 1:  # no worker thread, so no second malloc arena in peak RSS
+        deltas = np.array([one_trial(t) for t in range(trials)])
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            deltas = np.array(list(pool.map(one_trial, range(trials))))
     q1, med, q3 = np.percentile(deltas, [25.0, 50.0, 75.0], axis=0)
     return [SweepRow(m, float(med[j]), float(q1[j]), float(q3[j]), trials, p, seed, u.mode, float(np.max(u.stderr)))
             for j, (m, u) in enumerate(zip(m_list, mus))]

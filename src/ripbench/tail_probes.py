@@ -208,14 +208,13 @@ def increment_tail_fit(
         raise ValueError("y and z must differ")
     spec = MuNormSpec(
         mode="auto", dist=dist, variant=variant, m=m, stage_one=stage_one,
-        ambient_dim=y.size, n1=n1, n2=n2, n_resample=n_resample,
-        seed=child_seed(seed, CH_MAP),
+        n1=n1, n2=n2, n_resample=n_resample, seed=child_seed(seed, CH_MAP),
     )
     # h_p(0) = 0, so a zero z needs no column of its own
     X = np.stack([y, z], axis=1) if np.any(z != 0.0) else y[:, None]
     mu = mu_pnorm(spec, X, p).value
 
-    h = np.array([pnorm_p(apply_columns(_draw_map(spec, child_seed(seed, CH_BATCH, t), p), X), p)
+    h = np.array([pnorm_p(apply_columns(_draw_map(spec, child_seed(seed, CH_BATCH, t), p, y.size), X), p)
                   for t in range(trials)]) - mu
     diffs = np.abs(h[:, 0] - h[:, 1]) if X.shape[1] == 2 else np.abs(h[:, 0])
     tails = _empirical_tail(diffs, lams, gap, "lambda_grid")

@@ -195,20 +195,37 @@ def test_import_leaves_scipy_unloaded():
     assert out.strip() == "False"
 
 
-def test_bench_tracing_targets_resolve():
-    # a traced function renamed or moved would leave its per-layer metrics at 0
-    import importlib
+def _bench_tracing():
     import importlib.util
-    import inspect
 
     path = Path(__file__).parents[1] / "bench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("bench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_bench_tracing_targets_resolve():
+    # a traced function renamed or moved would leave its per-layer metrics at 0
+    import importlib
+    import inspect
+
+    tracing = _bench_tracing()
     assert tracing.TARGETS
     for mod, name in tracing.TARGETS:
         fn = getattr(importlib.import_module("ripbench." + mod), name, None)
         assert inspect.isfunction(fn), f"ripbench.{mod}.{name}"
+
+
+def test_bench_tracing_counts_flops_of_every_map_family():
+    # the tracer reads map fields directly; a moved field would break --trace 1
+    import ripbench.embeddings as em
+
+    flops = _bench_tracing()._apply_flops
+    so = em.build_stage_one(np.eye(5)[:3])
+    assert flops(em.two_stage_map(None, em.gaussian(), 4, 2, 0, ambient_dim=5), 2) == 2 * (2 * 4 * 5)
+    assert flops(em.two_stage_map(so, em.gaussian(), 4, 2, 0), 1) == 2 * 4 * 3 + 2 * 3 * 5
+    assert flops(em.rank_one_map(4, 2, 3, em.gaussian(), 0), 1) == 2 * 4 * (2 * 3 + 3)
 
 
 def test_public_names_resolve():
@@ -470,6 +487,24 @@ def test_bounds_both_rates_infinite_exits_2(capsys):
     assert rc == 2
     assert out == ""
     assert json.loads(err)["error"] == "config"
+
+
+@pytest.mark.parametrize("flags", [
+    {"--s": "1e308"},
+    {"--eps-s": "1e-300", "--delta": "1e-300"},
+    {"--delta": "1e-200"},
+    {"--c1": "1e-320"},
+    {"--c-abs": "1e308"},
+    {"--xi": "1e-320"},
+    {"--theorem": "1", "--p": "2", "--lambda": "1e100"},
+    {"--theorem": "2", "--p": "2", "--lambda": "1e100"},
+], ids=lambda f: "-".join(f"{k[2:]}={v}" for k, v in f.items()))
+def test_bounds_out_of_float_range_exits_2(capsys, flags):
+    # an overflowing or zero-dividing formula is a refused input, not a traceback
+    base = {"--s": "1", "--eps-s": "0.25", "--delta": "0.5", "--xi": "0.1"}
+    rc, out, err = run(capsys, "bounds", *[t for kv in {**base, **flags}.items() for t in kv], "--seed", "1")
+    assert (rc, out) == (2, "")
+    assert len(err.splitlines()) == 1 and json.loads(err)["error"] == "config"
 
 
 def test_missing_semantic_flag_exits_2(capsys):

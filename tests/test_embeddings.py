@@ -50,30 +50,14 @@ def test_dist_rejects_bad_q():
 # stage one
 # ---------------------------------------------------------------------------
 
-def test_stage_one_canonical_orthonormal():
-    rows = np.eye(5)[:3]
-    so = em.build_stage_one(rows)
-    assert so.is_orthonormal
-    np.testing.assert_allclose(so.gram, np.eye(3), atol=1e-12)
-
-
-def test_stage_one_gram_values():
-    rows = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]])
-    so = em.build_stage_one(rows)
-    np.testing.assert_allclose(so.gram, [[1.0, 1.0], [1.0, 2.0]], atol=1e-12)
-    assert not so.is_orthonormal
-
-
-def test_stage_one_random_condition_finite():
-    rng = np.random.default_rng(5)
-    so = em.build_stage_one(rng.standard_normal((4, 200)))
-    assert np.isfinite(so.cond)
-
-
-def test_stage_one_rejects_dependent_rows():
-    rows = np.array([[1.0, 0.0], [2.0, 0.0]])
-    with pytest.raises(ValueError):
-        em.build_stage_one(rows)
+def test_stage_one_accepts_dependent_rows():
+    # no Gram factor to keep: any finite block is a stage one, but not a
+    # non-finite or empty one
+    so = em.build_stage_one(np.array([[1.0, 0.0], [2.0, 0.0]]))
+    assert (so.d, so.ambient_dim) == (2, 2)
+    for bad in (np.array([[1.0, np.nan]]), np.zeros((0, 3)), np.zeros((2, 2, 2))):
+        with pytest.raises(ValueError):
+            em.build_stage_one(bad)
 
 
 def test_b_norm_orthonormal_euclidean():
@@ -92,12 +76,27 @@ def test_b_norm_matches_projection_oracle():
     for _ in range(100):
         B = rng.standard_normal((3, 8))
         so = em.build_stage_one(B)
-        P = B.T @ np.linalg.solve(so.gram, B)  # orthogonal projector onto the row span
+        P = B.T @ np.linalg.solve(B @ B.T, B)  # orthogonal projector onto the row span
         for _ in range(100):
             x = rng.standard_normal(8)
             lhs = em.b_norm(so, em.apply_stage_one(so, x))
             assert abs(lhs - np.linalg.norm(P @ x)) < 1e-10
             assert lhs <= np.linalg.norm(x) + 1e-12
+
+
+def test_b_norm_dependent_rows_is_norm_on_their_span():
+    # four rows spanning a plane: ||b(x)||_b is the norm of x projected onto
+    # the plane, as for an orthonormal basis of it; off the range it is inf
+    rng = np.random.default_rng(3)
+    plane = rng.standard_normal((2, 6))
+    B = np.vstack([plane, plane.sum(axis=0), 2.0 * plane[0]])
+    so, ortho = em.build_stage_one(B), em.build_stage_one_from_span(B)
+    assert ortho.d == 2
+    for _ in range(100):
+        x = rng.standard_normal(6)
+        got = em.b_norm(so, em.apply_stage_one(so, x))
+        assert abs(got - em.b_norm(ortho, em.apply_stage_one(ortho, x))) < 1e-10
+    assert em.b_norm(em.build_stage_one([[1.0, 0.0], [2.0, 0.0]]), [1.0, 0.0]) == math.inf
 
 
 def test_b_dual_norm_values():
@@ -136,7 +135,7 @@ def test_two_stage_identity_variant():
     n = 6
     L = em.MeasurementMap(
         variant="two_stage", m=n, dist=em.gaussian(), seed=0, p_scale=2,
-        stage_one=None, ambient_dim=n, matrix=math.sqrt(n) * np.eye(n),
+        stage_one=None, matrix=math.sqrt(n) * np.eye(n),
     )
     x = np.arange(1.0, n + 1.0)
     np.testing.assert_allclose(em.apply(L, x), x, atol=1e-12)

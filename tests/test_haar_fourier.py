@@ -186,6 +186,15 @@ def test_min_d_matches_linear_scan_bit_for_bit():
     assert not hf.min_d_for_eps(16, 1e-6, d_max=d_max).found
 
 
+def test_balancing_residual_has_the_search_bits():
+    # one Gram summation order: a block's residual is the value the search compares
+    d_max = 50
+    for n in (1, 2, 4, 8, 16, 32):
+        resids = _scan_residuals(n, d_max)
+        for d in range(1, d_max + 1):
+            assert hf.balancing_residual(hf.build_u_block(d, n)) == resids[d - 1], (n, d)
+
+
 def test_ublock_rows_are_prefix_stable():
     for n in (1, 8, 64):
         full = hf.build_u_block(300, n)

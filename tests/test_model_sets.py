@@ -11,6 +11,7 @@ import pytest
 
 import ripbench.cli as cli
 from ripbench import model_sets as ms
+from ripbench._rng import BLOCK
 
 
 # ---------------------------------------------------------------------------
@@ -75,6 +76,36 @@ def test_model_points_prefix_stable_across_blocks(sample):
     full = sample(600)
     for count in (255, 256, 257):
         assert sample(count).tobytes() == full[:count].tobytes()
+
+
+def _full_block_points(count, seed, block):
+    """Rows [0, count) of the documented point layout, every block of BLOCK
+    rows drawn and formed in full before the cut."""
+    from ripbench._rng import CH_POINT, substream
+
+    return np.concatenate([block(substream(seed, CH_POINT, b)) for b in range(-(-count // BLOCK))])[:count]
+
+
+@pytest.mark.parametrize("count", [1, 2, 255, 256, 257, 600])
+def test_samplers_form_only_returned_rows_as_full_blocks_would(count):
+    n, k, n1, n2, r = 40, 3, 4, 5, 2
+
+    def sparse(rng):
+        support = np.sort(np.argpartition(rng.random((BLOCK, n)), k - 1, axis=1)[:, :k], axis=1)
+        vals = rng.standard_normal((BLOCK, k))
+        out = np.zeros((BLOCK, n))
+        np.put_along_axis(out, support, vals / ms._column_norms(vals.T)[:, None], axis=1)
+        return out
+
+    def lowrank(rng):
+        M = (rng.standard_normal((BLOCK, n1, r)) @ rng.standard_normal((BLOCK, n2, r)).transpose(0, 2, 1))
+        M = M.reshape(BLOCK, n1 * n2)
+        return M / ms._column_norms(M.T)[:, None]
+
+    for seed in (1, 9):
+        assert ms.sample_sparse_unit(n, k, count, seed).tobytes() == _full_block_points(count, seed, sparse).tobytes()
+        assert (ms.sample_lowrank_unit(n1, n2, r, count, seed).tobytes()
+                == _full_block_points(count, seed, lowrank).tobytes())
 
 
 def test_sparse_rows_have_k_nonzeros_and_unit_norm():

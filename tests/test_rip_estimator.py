@@ -18,7 +18,7 @@ from ripbench._rng import BLOCK, CH_SECANT, CH_TRIAL, child_seed
 def _two_stage_spec(mode, n, m, dist=None, **kw):
     return ripest.MuNormSpec(
         mode=mode, dist=dist or em.gaussian(), variant="two_stage", m=m,
-        stage_one=None, ambient_dim=n, **kw,
+        stage_one=None, **kw,
     )
 
 
@@ -186,7 +186,7 @@ def _batch(variant):
     has a closed form: rank-one columns are rank-1 matrices."""
     rng = np.random.default_rng(4)
     if variant == "two_stage":
-        return dict(variant="two_stage", ambient_dim=6), rng.standard_normal((6, 7))
+        return dict(variant="two_stage"), rng.standard_normal((6, 7))
     cols = [np.outer(rng.standard_normal(3), rng.standard_normal(2)).ravel() for _ in range(7)]
     return dict(variant="rank_one", n1=3, n2=2), np.stack(cols, axis=1)
 
@@ -235,14 +235,14 @@ def test_mu_rank_one_rejects_wrong_length():
 def _identity_map(n):
     return em.MeasurementMap(
         variant="two_stage", m=n, dist=em.gaussian(), seed=0, p_scale=2,
-        stage_one=None, ambient_dim=n, matrix=math.sqrt(n) * np.eye(n),
+        stage_one=None, matrix=math.sqrt(n) * np.eye(n),
     )
 
 
 def _zero_map(n):
     return em.MeasurementMap(
         variant="two_stage", m=n, dist=em.gaussian(), seed=0, p_scale=2,
-        stage_one=None, ambient_dim=n, matrix=np.zeros((n, n)),
+        stage_one=None, matrix=np.zeros((n, n)),
     )
 
 
@@ -371,7 +371,7 @@ def test_nested_sweep_matches_maps_built_per_cell(monkeypatch, model, variant, s
     cells = np.empty((len(m_list), trials))
     for i, m in enumerate(m_list):
         spec = ripest.MuNormSpec(mode="analytic", dist=em.gaussian(), variant=variant, m=m,
-                                 stage_one=stage_one, ambient_dim=len(X), n1=n1, n2=n2)
+                                 stage_one=stage_one, n1=n1, n2=n2)
         mu = ripest.mu_pnorm(spec, X, p).value
         for t in range(trials):
             key = child_seed(seed, CH_TRIAL, t)
@@ -382,6 +382,25 @@ def test_nested_sweep_matches_maps_built_per_cell(monkeypatch, model, variant, s
     want = np.percentile(cells, [25.0, 50.0, 75.0], axis=1)
     got = np.array([[r.delta_q1 for r in rows], [r.delta_median for r in rows], [r.delta_q3 for r in rows]])
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def test_haar_fourier_stage_one_through_sweep():
+    # [Re U; Im U] has more rows than columns; l = 0 has a zero Im row
+    import ripbench.haar_fourier as hf
+
+    U = hf.build_u_block(7, 8).entries
+    assert not U.imag[0].any()
+    so = em.build_stage_one(np.vstack([U.real, U.imag[1:]]))
+    assert (so.d, so.ambient_dim) == (13, 8)
+    model = ms.Sparse(8, 2)
+    X = ms.normalized_secants(model, count=30, seed=5).directions
+    spec = ripest.MuNormSpec(mode="analytic", dist=em.gaussian(), variant="two_stage", m=16, stage_one=so)
+    # real x: ||b(x)||^2 = ||U x||^2 = x^T Re(U* U) x
+    want = np.einsum("ij,ik,kj->j", X, (U.conj().T @ U).real, X)
+    np.testing.assert_allclose(ripest.mu_pnorm(spec, X, 2).value, want, rtol=0.0, atol=1e-14)
+    rows = ripest.rip_sweep(model, em.gaussian(), [16, 64], 2, 30, 3, seed=5, stage_one=so)
+    assert [r.m for r in rows] == [16, 64]
+    assert all(math.isfinite(r.delta_median) and r.mu_mode == "analytic" for r in rows)
 
 
 def test_sweep_substreams_scale_with_trials_and_blocks(monkeypatch):

@@ -33,8 +33,6 @@ from .embeddings import (
     build_stage_one,
     build_stage_one_from_span,
     gaussian,
-    map_from_descriptor,
-    map_to_descriptor,
     rank_one_map,
     sparse_pm,
     storage_cost,
@@ -75,7 +73,6 @@ from .rip_estimator import (
     RipReport,
     SweepRow,
     UnsupportedAnalyticError,
-    delta_extremes,
     empirical_delta,
     mu_pnorm,
     rip_sweep,

@@ -16,13 +16,11 @@ Random matrices are keyed by row block: rows [b B, (b+1) B) with
 B = _rng.BLOCK come from one draw on substream (seed, CH_ROW, b), filled in
 row-major order.  Row i is therefore entry i % B of block i // B whatever m
 is, so the m-row map is a row prefix of any larger map with the same seed
-(a map can be extended in m without re-drawing earlier rows), and a JSON
-descriptor regenerates the map bit-exactly.
+(a map can be extended in m without re-drawing earlier rows).
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -48,8 +46,6 @@ __all__ = [
     "apply",
     "apply_columns",
     "storage_cost",
-    "map_to_descriptor",
-    "map_from_descriptor",
 ]
 
 
@@ -220,7 +216,8 @@ def two_stage_map(
     ambient_dim: Optional[int] = None,
 ) -> MeasurementMap:
     """Random second stage over a stage-one block (None = identity, whose
-    width ambient_dim is then required and otherwise unread).
+    width ambient_dim is then required; with a block, a given ambient_dim
+    must equal the block's width).
 
     p = 1 scales measurements by 1/m, p = 2 by 1/sqrt(m); with an identity
     stage one and Gaussian entries the p = 2 case is the classical A/sqrt(m)
@@ -232,6 +229,8 @@ def two_stage_map(
         raise ValueError(f"p must be 1 or 2, got {p}")
     if stage_one is None and (ambient_dim is None or ambient_dim < 1):
         raise ValueError("ambient_dim required for an identity stage one")
+    if stage_one is not None and ambient_dim not in (None, stage_one.ambient_dim):
+        raise ValueError(f"ambient_dim {ambient_dim} disagrees with the stage one's width {stage_one.ambient_dim}")
     d = int(ambient_dim) if stage_one is None else stage_one.d
     return MeasurementMap(
         variant="two_stage", m=int(m), dist=dist, seed=int(seed), p_scale=int(p),
@@ -293,48 +292,3 @@ def storage_cost(L: MeasurementMap) -> int:
     if L.variant == "rank_one":
         return L.m * (L.n1 + L.n2)
     return L.m * L.matrix.shape[1]
-
-
-# ---------------------------------------------------------------------------
-# descriptors
-# ---------------------------------------------------------------------------
-
-def _dist_payload(dist: DistSpec) -> dict:
-    if dist.variant == "gaussian":
-        return {"variant": "gaussian"}
-    return {"variant": "sparse_pm", "q": dist.q}
-
-
-def map_to_descriptor(L: MeasurementMap) -> str:
-    """JSON descriptor {variant, m, dims, dist, seed, p_scale}.
-
-    Random matrices are never stored; loading regenerates them bit-exactly
-    from (dist, seed).  A non-identity stage-one block is data, not
-    randomness, so its rows ride along explicitly.
-    """
-    if L.variant == "rank_one":
-        dims = {"n1": L.n1, "n2": L.n2}
-    else:
-        dims = {"d": L.matrix.shape[1], "ambient": L.input_dim}
-    payload = {
-        "variant": L.variant,
-        "m": L.m,
-        "dims": dims,
-        "dist": _dist_payload(L.dist),
-        "seed": L.seed,
-        "p_scale": L.p_scale if L.variant == "two_stage" else None,
-        "stage_one": (
-            None if L.variant == "rank_one" or L.stage_one is None
-            else [list(map(float, row)) for row in L.stage_one.basis_block]
-        ),
-    }
-    return json.dumps(payload)
-
-
-def map_from_descriptor(text: str) -> MeasurementMap:
-    d = json.loads(text)
-    dist = DistSpec(d["dist"]["variant"], d["dist"].get("q", float("nan")))
-    if d["variant"] == "rank_one":
-        return rank_one_map(d["m"], d["dims"]["n1"], d["dims"]["n2"], dist, d["seed"])
-    stage_one = None if d.get("stage_one") is None else build_stage_one(d["stage_one"])
-    return two_stage_map(stage_one, dist, d["m"], d["p_scale"], d["seed"], ambient_dim=d["dims"]["ambient"])

@@ -111,10 +111,11 @@ def build_u_block(d_freq: int, n: int) -> UBlock:
         raise ValueError(f"n must be a power of two, got {n}")
     freqs = frequency_order(d_freq)
     ls = np.asarray(freqs, dtype=float)
-    entries = np.empty((d_freq, n), dtype=complex)
+    columns = np.empty((n, d_freq), dtype=complex)
     for j in range(n):
-        entries[:, j] = _haar_column(ls, j)
-    return UBlock(entries=entries, freq_order=tuple(freqs), n=n)
+        columns[j] = _haar_column(ls, j)
+    # column-major entries: any row prefix views as the real block of _residual
+    return UBlock(entries=columns.T, freq_order=tuple(freqs), n=n)
 
 
 def spectral_norm_sym(A: np.ndarray) -> float:
@@ -132,18 +133,21 @@ def spectral_norm_sym(A: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvalsh(A))))
 
 
-def _grow_gram(G: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Add Re(row* row) for each row to G in place, in row order: the one
-    summation order of every Gram here, so a residual has the same bits
-    whichever routine computes it."""
-    for row in rows:
-        G += np.outer(row.conj(), row).real
-    return G
+def _residual(rows: np.ndarray) -> float:
+    """|| Re(U* U) - I ||_2 for the rows of U, a row prefix of build_u_block's
+    entries.  U.T.view(float) is the n x 2d block [Re u_0, Im u_0, Re u_1, ...]
+    of U's rows as columns, without a copy, so Re(U* U) is one real product and
+    the residual at d depends on the first d rows alone."""
+    R_T = rows.T.view(float)
+    G = R_T @ R_T.T
+    G[np.diag_indices(len(G))] -= 1.0  # G - I in place: no second n x n array
+    return spectral_norm_sym(G)
 
 
 def balancing_residual(u: UBlock) -> float:
-    """|| Re(U* U) - I ||_2 for the truncated coefficient block."""
-    return spectral_norm_sym(_grow_gram(np.zeros((u.n, u.n)), u.entries) - np.eye(u.n))
+    """|| Re(U* U) - I ||_2 for the truncated coefficient block (no copy for
+    build_u_block's column-major entries)."""
+    return _residual(np.asfortranarray(u.entries))
 
 
 @dataclass(frozen=True)
@@ -167,35 +171,33 @@ def min_d_for_eps(n: int, eps_star: float, d_max: int = 4096) -> MinDResult:
     In exact arithmetic the residual is non-increasing in d: each added
     frequency adds a positive-semidefinite rank-one term to the real Gram,
     which the identity caps.  So d doubles until the residual passes, then the
-    last bracket is bisected, each Gram grown row by row in a linear scan's
-    order so that it has the scan's bits.  In floating point the residual can
+    last bracket is bisected; every residual is _residual of the first d rows,
+    as balancing_residual computes it.  In floating point the residual can
     rise by a few ulps on plateaus, so if the last failing d lies within _TOL
     of eps_star, the search scans on from the largest d that failed by more.
-    The result is the scan's; found=False carries the residual at d_max.
+    The result is a linear scan's; found=False carries the residual at d_max.
     """
     if not (0.0 < eps_star < 1.0):
         raise ValueError("need eps_star in (0, 1)")
     if d_max < 1:
         raise ValueError("need d_max >= 1")
-    rows, eye = build_u_block(1, n).entries, np.eye(n)
+    rows = build_u_block(1, n).entries
     resid = {}
     lo = clear = 0  # largest evaluated d that fails, and that fails by more than _TOL
-    G_lo = G_clear = np.zeros((n, n))  # their Grams
     hi, rescan = None, False  # smallest evaluated d that passes
     while True:
         if (hi or d_max + 1) - lo <= 1:
             if rescan or clear == lo:
                 break
-            rescan, lo, G_lo = True, clear, G_clear  # lo failed within _TOL: scan on from clear
+            rescan, lo = True, clear  # lo failed within _TOL: scan on from clear
         d = lo + 1 if rescan else min(max(2 * lo, 1), d_max) if hi is None else (lo + hi) // 2
         if d > len(rows):
             rows = build_u_block(d, n).entries  # rows are prefix-stable
-        G = _grow_gram(G_lo.copy(), rows[lo:d])
-        resid[d] = spectral_norm_sym(G - eye)
+        resid[d] = _residual(rows[:d])
         if resid[d] <= eps_star:
             hi = d
         else:
-            lo, G_lo = d, G
+            lo = d
             if resid[d] > eps_star + _TOL:
-                clear, G_clear = d, G
+                clear = d
     return MinDResult(hi is not None, hi, resid[hi or d_max], n, eps_star, d_max)

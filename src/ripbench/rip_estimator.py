@@ -41,7 +41,6 @@ __all__ = [
     "UnsupportedAnalyticError",
     "mu_pnorm",
     "empirical_delta",
-    "delta_extremes",
     "rip_sweep",
     "pnorm_p",
 ]
@@ -236,12 +235,6 @@ def empirical_delta(
         trials=1,
         seed=L.seed,
     )
-
-
-def delta_extremes(spec: MuNormSpec, secants: Secants, p: int):
-    """(min, max) of the semi-norm over the sampled secants."""
-    vals = mu_pnorm(spec, secants.directions, p).value
-    return float(vals.min()), float(vals.max())
 
 
 def _prefix_pnorms(L: MeasurementMap, X: np.ndarray, m_list: Sequence[int], p: int) -> np.ndarray:

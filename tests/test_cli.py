@@ -228,6 +228,23 @@ def test_bench_tracing_counts_flops_of_every_map_family():
     assert flops(em.rank_one_map(4, 2, 3, em.gaussian(), 0), 1) == 2 * 4 * (2 * 3 + 3)
 
 
+def test_bench_tracing_sees_the_min_d_search(capsys, monkeypatch):
+    # the geometry metrics come from build_u_block and spectral_norm_sym calls
+    # inside the search; a search that bypassed either would zero them
+    import ripbench.haar_fourier as hf
+
+    tracing = _bench_tracing()
+    evaluated = []
+    residual = hf._residual
+    monkeypatch.setattr(hf, "_residual", lambda rows: evaluated.append(len(rows)) or residual(rows))
+    with tracing.installed(tracing.Tracer()) as tracer:
+        assert cli.main(["haar-fourier", "--n", "16", "--eps-star", "0.1", "--seed", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["d"] == 53
+    metrics = tracing.layer_metrics(tracer, 1.0)
+    assert metrics["haar_fourier.rows_built_per_d"][0] > 0
+    assert metrics["haar_fourier.eig_calls"][0] == len(evaluated) > 0
+
+
 def test_public_names_resolve():
     # __all__ lists and the package's imports are kept by hand
     import ast

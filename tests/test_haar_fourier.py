@@ -117,6 +117,9 @@ def test_residual_three_freqs_closed_form():
     want = 1.0 - 8.0 / math.pi**2
     assert abs(hf.balancing_residual(u) - want) < 1e-10
     assert abs(want - 0.18943) < 1e-5
+    # a block built by hand in row-major order has the same residual
+    row_major = hf.UBlock(np.ascontiguousarray(u.entries), u.freq_order, u.n)
+    assert hf.balancing_residual(row_major) == hf.balancing_residual(u)
 
 
 def test_residual_65_freqs_small():
@@ -150,13 +153,14 @@ def test_min_d_first_passing():
 
 
 def _scan_residuals(n, d_max):
-    """Residual at every d = 1..d_max, accumulated as the linear scan that the
-    bracket search replaced does it: one rank-one term per row, in order."""
-    block = hf.build_u_block(d_max, n)
-    G, out = np.zeros((n, n)), []
-    for row in block.entries:
-        G = G + np.outer(row.conj(), row).real
-        out.append(hf.spectral_norm_sym(G - np.eye(n)))
+    """Residual at every d = 1..d_max from a fresh Gram R^T R per prefix, R the
+    contiguous 2d x n block [Re u_0; Im u_0; Re u_1; ...] of the first d rows."""
+    block = hf.build_u_block(d_max, n).entries
+    out = []
+    for d in range(1, d_max + 1):
+        R = np.empty((2 * d, n))
+        R[0::2], R[1::2] = block[:d].real, block[:d].imag
+        out.append(hf.spectral_norm_sym(R.T @ R - np.eye(n)))
     return out
 
 
@@ -184,10 +188,23 @@ def test_min_d_matches_linear_scan_bit_for_bit():
             assert (res.found, res.d, res.residual) == _scan_min_d(resids, eps), (n, eps)
     assert plateaus > 0  # the grid holds residual upticks, where plain bisection errs
     assert not hf.min_d_for_eps(16, 1e-6, d_max=d_max).found
+    # n = 64: the residual stays within 1e-9 of its value at d = 214 up to d = 319,
+    # so a threshold on that plateau sends the guard's rescan along it
+    resids = _scan_residuals(64, 330)
+    assert max(abs(r - resids[213]) for r in resids[213:319]) < 1e-9
+    for eps in (np.nextafter(resids[213], 0.0), resids[213], np.nextafter(resids[213], 1.0)):
+        res = hf.min_d_for_eps(64, float(eps), d_max=330)
+        assert (res.found, res.d, res.residual) == _scan_min_d(resids, eps), eps
+
+
+@pytest.mark.parametrize("n,d", [(64, 214), (128, 428), (256, 856)])
+def test_min_d_at_eps_point_one(n, d):
+    res = hf.min_d_for_eps(n, 0.1)
+    assert res.found and res.d == d
 
 
 def test_balancing_residual_has_the_search_bits():
-    # one Gram summation order: a block's residual is the value the search compares
+    # one product per d: a block's residual is the value the search compares
     d_max = 50
     for n in (1, 2, 4, 8, 16, 32):
         resids = _scan_residuals(n, d_max)

@@ -311,15 +311,15 @@ def test_delta_input_validation():
 
 def test_delta_extremes_unit_secants():
     secants = ms.normalized_secants(ms.Sparse(n=6, k=2), count=25, seed=7)
-    lo, hi = ripest.delta_extremes(_two_stage_spec("analytic", 6, 4), secants, 2)
-    assert abs(lo - 1.0) < 1e-12 and abs(hi - 1.0) < 1e-12
+    vals = ripest.mu_pnorm(_two_stage_spec("analytic", 6, 4), secants.directions, 2).value
+    assert abs(vals.min() - 1.0) < 1e-12 and abs(vals.max() - 1.0) < 1e-12
 
 
 def test_delta_extremes_sees_spread():
     # hand-built secants of different lengths separate the extremes
     secants = ms.Secants(np.array([[2.0, 0.0], [0.0, 0.5]]), np.array([[0, 1], [0, 2]]))
-    lo, hi = ripest.delta_extremes(_two_stage_spec("analytic", 2, 4), secants, 2)
-    assert abs(lo - 0.25) < 1e-12 and abs(hi - 4.0) < 1e-12
+    vals = ripest.mu_pnorm(_two_stage_spec("analytic", 2, 4), secants.directions, 2).value
+    assert abs(vals.min() - 0.25) < 1e-12 and abs(vals.max() - 4.0) < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,10 @@ sets empirically, and evaluates the closed-form sample-complexity bounds."""
 
 from .bounds import (
     BoundInputs,
-    BoundReport,
     ChainingSums,
     DoubleFactorialBracket,
     abs_mean_lower,
     alpha_x,
-    bound_report,
     chaining_sums,
     concentration_constants,
     double_factorial,

@@ -15,14 +15,17 @@ RNG_LAYOUT numbers the mapping from keys to draws; it changes whenever
 seeded outputs change on purpose.  Layout 1 keyed every map row by its own
 substream (seed, CH_ROW, i); layout 2 keyed rows by block; layout 3 keys
 model points by block too (not (seed, i) per point) and gives each sweep
-trial t one map (seed, CH_TRIAL, t) whose m-row prefixes serve every m.
+trial t one map (seed, CH_TRIAL, t) whose m-row prefixes serve every m;
+layout 4 samples the secants of an explicit point set from a stream of
+uniform point indices keyed by block like model points, not pair i from
+(seed, i).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-RNG_LAYOUT = 3
+RNG_LAYOUT = 4
 
 # items per substream for map rows and model points
 BLOCK = 256

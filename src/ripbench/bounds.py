@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 __all__ = [
     "BoundInputs",
-    "BoundReport",
     "ChainingSums",
     "DoubleFactorialBracket",
     "chaining_sums",
@@ -35,7 +34,6 @@ __all__ = [
     "rop_psi1_bound",
     "abs_mean_lower",
     "sparse_rop_delta1_floor",
-    "bound_report",
 ]
 
 LOG2 = math.log(2.0)
@@ -97,19 +95,6 @@ class ChainingSums:
     j_max: int
     remainder_S2: float
     remainder_S3: float
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """One-stop record of the closed-form quantities for a given input set."""
-
-    inputs: BoundInputs
-    m_required: int
-    m_raw: float
-    sums: ChainingSums
-    c1: float
-    c2: float
-    crossover: float
 
 
 def chaining_sums(s: float, eps_S: float, xi: float, j_max: int = 64) -> ChainingSums:
@@ -316,27 +301,3 @@ def sparse_rop_delta1_floor(q: float, D_param: float) -> float:
     if not D_param > 0.0:
         raise ValueError("need D_param > 0")
     return D_param / (q * (1.0 + math.log(q)))
-
-
-def bound_report(inputs: BoundInputs, p: int | None = None, j_max: int = 64) -> BoundReport:
-    """Bundle m_main with the chaining sums and, when p is given, the
-    concentration constants derived from (p, Lambda)."""
-    sums = chaining_sums(inputs.s, inputs.eps_S, inputs.xi, j_max)
-    if p is None:
-        c1, c2, crossover = inputs.c1, inputs.c2, inputs.c2 / inputs.c1
-        eff = inputs
-    else:
-        c1, c2, crossover = concentration_constants(p, inputs.Lambda, 1.0)
-        eff = BoundInputs(
-            s=inputs.s, eps_S=inputs.eps_S, delta=inputs.delta, xi=inputs.xi,
-            c1=c1, c2=c2, Lambda=inputs.Lambda, C_abs=inputs.C_abs,
-        )
-    return BoundReport(
-        inputs=inputs,
-        m_required=m_main(eff),
-        m_raw=m_main_raw(eff),
-        sums=sums,
-        c1=c1,
-        c2=c2,
-        crossover=crossover,
-    )

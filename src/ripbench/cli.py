@@ -306,9 +306,9 @@ def _cmd_bounds(args) -> Report:
     )
     sums = dataclasses.asdict(bd.chaining_sums(args.s, args.eps_s, args.xi, args.j_max))
     if args.theorem == 1:
-        rep = bd.bound_report(inputs, p=args.p, j_max=args.j_max)
-        m_required, m_raw = rep.m_required, rep.m_raw
-        c1, c2, crossover = rep.c1, rep.c2, rep.crossover
+        c1, c2 = (args.c1, args.c2) if args.p is None else bd.concentration_constants(args.p, lam, 1.0)[:2]
+        rated = dataclasses.replace(inputs, c1=c1, c2=c2)
+        m_required, m_raw, crossover = bd.m_main(rated), bd.m_main_raw(rated), c2 / c1
         note = "per unit constant unless C_abs set by the proof"
     else:
         _require(args.p is not None, "--theorem 2 requires --p")
@@ -552,6 +552,8 @@ def main(argv=None) -> int:
         return _fail(2, "config", str(exc))
     except ArithmeticError as exc:  # a formula overflowed or underflowed to a zero divisor
         return _fail(2, "config", f"inputs out of floating-point range: {exc}")
+    except MemoryError:  # an array sized by the inputs could not be allocated
+        return _fail(2, "config", "inputs too large for memory")
     except OSError as exc:
         return _fail(2, "io", str(exc))
 

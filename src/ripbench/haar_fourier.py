@@ -174,7 +174,8 @@ def min_d_for_eps(n: int, eps_star: float, d_max: int = 4096) -> MinDResult:
     last bracket is bisected; every residual is _residual of the first d rows,
     as balancing_residual computes it.  In floating point the residual can
     rise by a few ulps on plateaus, so if the last failing d lies within _TOL
-    of eps_star, the search scans on from the largest d that failed by more.
+    of eps_star, the search scans on from the largest d that failed by more,
+    evaluating each d once.
     The result is a linear scan's; found=False carries the residual at d_max.
     """
     if not (0.0 < eps_star < 1.0):
@@ -191,9 +192,10 @@ def min_d_for_eps(n: int, eps_star: float, d_max: int = 4096) -> MinDResult:
                 break
             rescan, lo = True, clear  # lo failed within _TOL: scan on from clear
         d = lo + 1 if rescan else min(max(2 * lo, 1), d_max) if hi is None else (lo + hi) // 2
-        if d > len(rows):
-            rows = build_u_block(d, n).entries  # rows are prefix-stable
-        resid[d] = _residual(rows[:d])
+        if d not in resid:  # the rescan passes d the bracket already evaluated
+            if d > len(rows):
+                rows = build_u_block(d, n).entries  # rows are prefix-stable
+            resid[d] = _residual(rows[:d])
         if resid[d] <= eps_star:
             hi = d
         else:

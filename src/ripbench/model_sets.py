@@ -10,9 +10,9 @@ farthest-point epsilon nets, least-squares box-dimension fits, and the
 closed-form isometry constants of the correlated family.
 
 All sampling is reproducible and prefix-stable.  Model points come in
-blocks of _rng.BLOCK, block b drawn in full from substream (seed, CH_POINT,
-b), so point i is the same for every count > i; sampled pairs of explicit
-points draw pair i from substream (seed, i).  Outputs are independent of
+blocks of _rng.BLOCK, block b from substream (seed, CH_POINT, b), so point
+i is the same for every count > i; sampled pairs of explicit points draw
+uniform point indices in the same blocks.  Outputs are independent of
 evaluation order and can be extended without re-drawing earlier items.
 """
 
@@ -184,11 +184,17 @@ def _column_norms(X: np.ndarray) -> np.ndarray:
 def _point_blocks(count: int, seed: int, draw) -> np.ndarray:
     """Rows [0, count) of a model-point stream.  Block b holds BLOCK rows
     drawn from substream(seed, CH_POINT, b); draw(rng, rows) returns the first
-    `rows` of them, consuming the stream as the full block would."""
+    `rows` of them, consuming the stream as the full block would.  Blocks are
+    copied into the output as they come, so no list of blocks is held."""
     if count < 1:
         raise ValueError("count >= 1 required")
-    return np.concatenate([draw(substream(seed, CH_POINT, b), min(BLOCK, count - b * BLOCK))
-                           for b in range(-(-count // BLOCK))])
+    out = None
+    for b in range(-(-count // BLOCK)):
+        rows = draw(substream(seed, CH_POINT, b), min(BLOCK, count - b * BLOCK))
+        if out is None:
+            out = np.empty((count, *rows.shape[1:]), dtype=rows.dtype)
+        out[b * BLOCK:b * BLOCK + len(rows)] = rows
+    return out
 
 
 def sample_sparse_unit(n: int, k: int, count: int, seed: int) -> np.ndarray:
@@ -265,14 +271,14 @@ def sample_model(spec: ModelSpec, count: int, seed: int) -> np.ndarray:
 _COLLAPSE = "rejection rate above 99%: model collapses to a point"
 
 
-def _gaps(x1: np.ndarray, x2: np.ndarray, min_gap: float):
-    """Differences x1 - x2 of paired rows (or of two vectors), their norms, and
-    which pass the gap filter ||x1 - x2|| > min_gap * max(||x1||, ||x2||, 1);
-    a pair of equal points never passes."""
-    diff = x1 - x2
+def _gaps(pool: np.ndarray, min_gap: float):
+    """Differences x1 - x2 of the consecutive rows (x1, x2) = (pool[2i],
+    pool[2i+1]), their norms, and which pass the gap filter ||x1 - x2|| >
+    min_gap * max(||x1||, ||x2||, 1); a pair of equal points never passes."""
+    norms = _column_norms(pool.T)  # rows of a C-ordered pool: no copy
+    diff = pool[0::2] - pool[1::2]
     gap = _column_norms(diff.T)
-    floor = np.maximum(np.maximum(_column_norms(x1.T), _column_norms(x2.T)), 1.0)
-    return diff, gap, gap > min_gap * floor
+    return diff, gap, gap > min_gap * np.maximum(np.maximum(norms[0::2], norms[1::2]), 1.0)
 
 
 def _secants(diff: np.ndarray, gap: np.ndarray, keep: np.ndarray, pair_ids: np.ndarray) -> Secants:
@@ -293,13 +299,14 @@ def normalized_secants(
     With explicit points (a sequence of vectors, the rows of an array, or a
     CorrelatedSeq or PointCloud, which enumerate theirs) and count=None, every
     ordered pair (i, j), i != j, passing the gap filter is returned in
-    row-major order of (i, j); with a count, pairs are sampled uniformly, item
-    i from substream (seed, i).  With a Sparse or LowRank spec, fresh model
-    points are drawn and consecutive draws 2i and 2i+1 form candidate pair i;
-    rejected pairs are skipped and the stream extended.  pair_ids then index
-    that draw stream, so the generating points are recoverable from
-    (spec, seed).  A given count must be at least 1; a spec with count=None
-    yields one secant.
+    row-major order of (i, j).  With a count, pairs come from a stream of
+    items keyed by block as _point_blocks draws it: fresh model points for a
+    Sparse or LowRank spec, uniform point indices for explicit points.
+    Consecutive items 2i and 2i+1 form candidate pair i; rejected pairs are
+    skipped and the stream extended.  pair_ids index the explicit points, or
+    for a spec that draw stream, so the generating points are recoverable
+    from (spec, seed).  A given count must be at least 1; a spec with
+    count=None yields one secant.
 
     Raises ModelCollapseError when more than 99 percent of attempted pairs
     fall below the relative gap threshold.
@@ -310,7 +317,8 @@ def normalized_secants(
         raise ValueError(f"need count >= 1, got {count}")
 
     if isinstance(points, (Sparse, LowRank)):
-        return _secants_from_stream(points, 1 if count is None else count, min_gap, seed)
+        return _secants_from_stream(lambda c: (np.arange(c), sample_model(points, c, seed)),
+                                    1 if count is None else count, min_gap)
     if isinstance(points, (CorrelatedSeq, PointCloud)):
         points = sample_model(points, 0, seed)  # deterministic finite families
     pts = np.asarray(points, dtype=float)
@@ -318,36 +326,28 @@ def normalized_secants(
         raise ValueError("need at least 2 points of one dimension")
 
     if count is None:
-        a, b = np.nonzero(~np.eye(len(pts), dtype=bool))  # row-major: all j for each i
-        diff, gap, keep = _gaps(pts[a], pts[b], min_gap)
+        ids = np.argwhere(~np.eye(len(pts), dtype=bool))  # row-major: all j for each i
+        diff, gap, keep = _gaps(pts[ids.ravel()], min_gap)
         if not keep.any():
             raise ModelCollapseError("no pair passed the gap filter")
-        return _secants(diff, gap, keep, np.stack([a[keep], b[keep]], axis=1))
+        return _secants(diff, gap, keep, ids[keep])
 
-    ids = np.empty((count, 2), dtype=np.int64)
-    attempts = 0
-    for i in range(count):
-        rng = substream(seed, i)
-        for _ in range(10_000):
-            attempts += 1
-            ids[i] = rng.integers(0, len(pts), size=2)
-            if _gaps(pts[ids[i, 0]], pts[ids[i, 1]], min_gap)[2]:
-                break
-        else:
-            raise ModelCollapseError(_COLLAPSE)
-        if attempts >= 1000 and (i + 1) / attempts < 0.01:
-            raise ModelCollapseError(_COLLAPSE)
-    return _secants(*_gaps(pts[ids[:, 0]], pts[ids[:, 1]], min_gap), ids)
+    def draw(c):
+        ids = _point_blocks(c, seed, lambda rng, rows: rng.integers(len(pts), size=rows))
+        return ids, pts[ids]
+
+    return _secants_from_stream(draw, count, min_gap)
 
 
-def _secants_from_stream(spec: ModelSpec, count: int, min_gap: float, seed: int) -> Secants:
-    # consecutive stream items (2i, 2i+1) form candidate pair i; rejected pairs
+def _secants_from_stream(draw, count: int, min_gap: float) -> Secants:
+    # draw(c) gives the first c stream items as (ids, points), prefix-stable in
+    # c; consecutive items (2i, 2i+1) form candidate pair i, and rejected pairs
     # are skipped and the stream extended, keeping item draws order-independent
     n_kept = attempts = 0
     while n_kept < count:
-        # the sampler is prefix-stable, so the enlarged pool repeats earlier items
-        pool = sample_model(spec, 2 * (attempts + count - n_kept), seed)
-        diff, gap, keep = _gaps(pool[0::2], pool[1::2], min_gap)
+        ids, pool = draw(2 * (attempts + count - n_kept))  # repeats earlier items
+        diff, gap, keep = _gaps(pool, min_gap)
+        del pool  # hold only the differences from here: the next pool is larger
         # collapse once 1000 or more pairs were tried and under 1 percent passed,
         # tested at each rejected pair in stream order
         tried = np.arange(1, len(keep) + 1)
@@ -357,7 +357,7 @@ def _secants_from_stream(spec: ModelSpec, count: int, min_gap: float, seed: int)
         if attempts > 100 * count + 1000:
             raise ModelCollapseError(_COLLAPSE)
     a = 2 * np.flatnonzero(keep)
-    return _secants(diff, gap, keep, np.stack([a, a + 1], axis=1))
+    return _secants(diff, gap, keep, np.stack([ids[a], ids[a + 1]], axis=1))
 
 
 # ---------------------------------------------------------------------------

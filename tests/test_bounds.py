@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -211,13 +212,18 @@ def test_sparse_rop_floor_values():
         bd.sparse_rop_delta1_floor(1.5, 1.0)
 
 
-def test_bound_report_bundles():
+def test_theorem_one_quantities_at_resolved_rates():
+    # what the bounds command reports for theorem 1: m at the given rates, or
+    # at the concentration constants of (p, Lambda), and the chaining sums
     inputs = bd.BoundInputs(s=4.0, eps_S=0.25, delta=0.5, xi=0.1)
-    rep = bd.bound_report(inputs)
-    assert rep.m_required == math.ceil(rep.m_raw)
-    assert rep.sums.S1 <= rep.sums.S1_bound
-    rep2 = bd.bound_report(inputs, p=2)
-    assert abs(rep2.crossover - 8.0) < 1e-12
+    assert bd.m_main(inputs) == math.ceil(bd.m_main_raw(inputs))
+    sums = bd.chaining_sums(inputs.s, inputs.eps_S, inputs.xi)
+    assert sums.S1 <= sums.S1_bound
+    c1, c2, crossover = bd.concentration_constants(2, inputs.Lambda, 1.0)
+    assert abs(crossover - 8.0) < 1e-12 and crossover == c2 / c1
+    rated = dataclasses.replace(inputs, c1=c1, c2=c2)
+    assert bd.m_main(rated) == math.ceil(bd.m_main_raw(rated))
+    assert bd.m_main_raw(rated) == pytest.approx(64.0 * bd.m_main_raw(inputs), rel=1e-12)  # min(c1, c2) = 1/64
 
 
 def test_bound_inputs_need_one_finite_rate():
@@ -225,5 +231,5 @@ def test_bound_inputs_need_one_finite_rate():
         bd.BoundInputs(s=4.0, eps_S=0.25, delta=0.5, xi=0.1, c1=math.inf, c2=math.inf)
     # one unbounded regime is allowed: the other rate sets m
     for c1, c2 in ((math.inf, 1.0), (1.0, math.inf)):
-        rep = bd.bound_report(bd.BoundInputs(s=4.0, eps_S=0.25, delta=0.5, xi=0.1, c1=c1, c2=c2))
-        assert rep.m_required > 0
+        inputs = bd.BoundInputs(s=4.0, eps_S=0.25, delta=0.5, xi=0.1, c1=c1, c2=c2)
+        assert bd.m_main(inputs) == math.ceil(bd.m_main_raw(inputs)) > 0

@@ -524,6 +524,19 @@ def test_bounds_out_of_float_range_exits_2(capsys, flags):
     assert len(err.splitlines()) == 1 and json.loads(err)["error"] == "config"
 
 
+def test_memory_error_exits_2(capsys, monkeypatch):
+    # n = 2^40 asks build_u_block for 16 TiB; raise as a failed allocation
+    # would, since whether a real one fails at once depends on overcommit
+    def too_large(d_freq, n):
+        raise MemoryError
+
+    monkeypatch.setattr(cli.hf, "build_u_block", too_large)
+    rc, out, err = run(capsys, "haar-fourier", "--n", str(2**40), "--eps-star", "0.1", "--seed", "1")
+    assert (rc, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert json.loads(err) == {"error": "config", "message": "inputs too large for memory"}
+
+
 def test_missing_semantic_flag_exits_2(capsys):
     rc, out, err = run(capsys, "net", "--model", "sparse", "--n", "6", "--k", "2",
                        "--seed", "0")
@@ -756,6 +769,20 @@ def test_every_subcommand_rerun_is_byte_identical(capsys, argv):
     second = run(capsys, *argv, "--seed", "37")
     assert first == second
     assert first[0] == 0
+
+
+def test_finite_set_secant_runs_rerun_byte_identical(capsys, tmp_path):
+    # secants sampled from a finite point set: the block-keyed index stream
+    path = tmp_path / "points.csv"
+    path.write_text(ms.points_to_csv(np.random.default_rng(0).standard_normal((40, 3))))
+    for argv in (
+        ("rip-sweep", "--model", "correlated", "--r", "0.5", "--b", "1", "--i-max", "20",
+         "--m-list", "4,8", "--n-secants", "30", "--trials", "3"),
+        ("boxdim", "--points", str(path), "--secants", "--count", "300", "--eps-grid", "0.9,0.7,0.5"),
+    ):
+        first = run(capsys, *argv, "--seed", "37")
+        assert first == run(capsys, *argv, "--seed", "37")
+        assert first[0] == 0 and json.loads(first[1])["config"]["rng_layout"] == 4
 
 
 # ---------------------------------------------------------------------------

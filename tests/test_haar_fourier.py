@@ -173,7 +173,7 @@ def _scan_min_d(resids, eps_star):
     return False, None, resids[-1]
 
 
-def test_min_d_matches_linear_scan_bit_for_bit():
+def test_min_d_matches_linear_scan_bit_for_bit(monkeypatch):
     # thresholds come from this run's scan: the last bits of eigvalsh depend
     # on the BLAS build and thread count, so none is hard-coded
     d_max, plateaus = 50, 0
@@ -192,9 +192,19 @@ def test_min_d_matches_linear_scan_bit_for_bit():
     # so a threshold on that plateau sends the guard's rescan along it
     resids = _scan_residuals(64, 330)
     assert max(abs(r - resids[213]) for r in resids[213:319]) < 1e-9
+    evaluated, residual_of = [], hf._residual
+
+    def residual(rows):
+        evaluated.append(len(rows))
+        return residual_of(rows)
+
+    monkeypatch.setattr(hf, "_residual", residual)
     for eps in (np.nextafter(resids[213], 0.0), resids[213], np.nextafter(resids[213], 1.0)):
+        evaluated.clear()
         res = hf.min_d_for_eps(64, float(eps), d_max=330)
         assert (res.found, res.d, res.residual) == _scan_min_d(resids, eps), eps
+        # the rescan reads the residuals the bracket holds: each d once
+        assert len(evaluated) == len(set(evaluated)), eps
 
 
 @pytest.mark.parametrize("n,d", [(64, 214), (128, 428), (256, 856)])

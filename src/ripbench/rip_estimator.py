@@ -90,16 +90,13 @@ class MuNorm:
 
 @dataclass(frozen=True)
 class RipReport:
+    """One map's deviation over a sample, its witness secant, and min/max of mu^p."""
+
     delta_p: float
     witness_direction: np.ndarray   # the secant attaining delta_p
     witness_pair_ids: tuple
     under_delta: float
     bar_delta: float
-    m: int
-    p: int
-    n_secants: int
-    trials: int
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -229,11 +226,6 @@ def empirical_delta(
         witness_pair_ids=tuple(int(i) for i in secants.pair_ids[idx]),
         under_delta=float(mu_arr.min()),
         bar_delta=float(mu_arr.max()),
-        m=L.m,
-        p=p,
-        n_secants=len(secants),
-        trials=1,
-        seed=L.seed,
     )
 
 

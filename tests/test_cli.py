@@ -1,5 +1,6 @@
 """End-to-end subcommand runs through main(argv), in process."""
 
+import gc
 import json
 import math
 import os
@@ -49,6 +50,26 @@ def test_counterexample_documented_run(capsys):
     assert got["vk_min_pairwise"] >= got["vk_separation_bound"] - 1e-12
     assert got["vk_k_max"] == 20
     assert got["config"]["seed"] == 1
+
+
+def test_counterexample_refuses_k_max_below_two(capsys):
+    # one v_k has no pair, so no minimum pairwise distance to report
+    rc, out, err = run(capsys, "counterexample", "--r", "0.5", "--b", "1", "--k-max", "1", "--seed", "1")
+    assert (rc, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    rec = json.loads(err)
+    assert rec["error"] == "config" and "k_max >= 2" in rec["message"]
+
+
+def test_main_leaves_no_cyclic_garbage(capsys):
+    # in-process callers run main many times; garbage that only the cyclic
+    # collector frees piles up between its full passes and raises peak RSS
+    argv = ("rip-sweep", "--model", "sparse", "--n", "8", "--k", "2", "--m-list", "4,8",
+            "--n-secants", "5", "--trials", "2", "--seed", "1")
+    run_json(capsys, *argv)
+    gc.collect()
+    run_json(capsys, *argv)
+    assert gc.collect() == 0
 
 
 def test_bounds_documented_run(capsys):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -132,10 +133,8 @@ def test_stage_one_from_net_lower_bound():
 def test_two_stage_identity_variant():
     # matrix sqrt(m) * I with p=2 scaling 1/sqrt(m) acts as the identity
     n = 6
-    L = em.MeasurementMap(
-        variant="two_stage", m=n, dist=em.gaussian(), seed=0, p_scale=2,
-        stage_one=None, matrix=math.sqrt(n) * np.eye(n),
-    )
+    L = em.MeasurementMap("two_stage", math.sqrt(n) * np.eye(n), p_scale=2)
+    assert L.m == n
     x = np.arange(1.0, n + 1.0)
     np.testing.assert_allclose(em.apply(L, x), x, atol=1e-12)
 
@@ -188,7 +187,7 @@ def test_apply_linearity():
 def test_rank_one_bilinear_exact():
     L = em.rank_one_map(1, 3, 4, em.gaussian(), seed=6)
     M = np.arange(12.0).reshape(3, 4)
-    want = float(L.a_vecs[0] @ M @ L.b_vecs[0])
+    want = float(L.matrix[0, :3] @ M @ L.matrix[0, 3:])
     assert abs(em.apply(L, M)[0] - want) < 1e-12
 
 
@@ -197,12 +196,41 @@ def test_rank_one_single_entry_product():
     M = np.zeros((4, 4))
     M[0, 0] = 1.0
     y = em.apply(L, M) * 500
-    np.testing.assert_allclose(y, L.a_vecs[:, 0] * L.b_vecs[:, 0], atol=1e-12)
+    np.testing.assert_allclose(y, L.matrix[:, 0] * L.matrix[:, 4], atol=1e-12)
 
 
 def test_rank_one_storage_cost():
     L = em.rank_one_map(7, 5, 9, em.gaussian(), seed=1)
     assert em.storage_cost(L) == 7 * (5 + 9)
+
+
+def test_two_stage_storage_cost():
+    assert em.storage_cost(em.two_stage_map(None, em.gaussian(), 7, 2, 1, ambient_dim=6)) == 7 * 6
+    so = em.build_stage_one(np.eye(10)[:3])
+    assert em.storage_cost(em.two_stage_map(so, em.gaussian(), 7, 1, 1)) == 7 * 3
+
+
+@pytest.mark.parametrize("dist", [em.gaussian(), em.sparse_pm(3.0)])
+def test_rank_one_map_is_the_two_stage_draw(dist):
+    # one row draw serves both families: rank-one row i is [a_i, b_i]
+    for m, n1, n2, seed in ((1, 1, 1, 0), (9, 3, 4, 5), (BLOCK + 2, 5, 2, 7)):
+        L = em.rank_one_map(m, n1, n2, dist, seed)
+        assert L.matrix.shape == (m, n1 + n2) and L.m == m
+        want = em.two_stage_map(None, dist, m, 2, seed, ambient_dim=n1 + n2).matrix
+        np.testing.assert_array_equal(L.matrix, want)
+
+
+def test_a_map_is_its_drawn_block():
+    assert [f.name for f in fields(em.MeasurementMap)] == ["variant", "matrix", "p_scale", "stage_one", "n1", "n2"]
+    # m is the block's row count, so a row slice is the prefix map
+    for L in (em.rank_one_map(9, 3, 4, em.gaussian(), seed=1),
+              em.two_stage_map(None, em.gaussian(), 9, 2, seed=1, ambient_dim=5)):
+        prefix = replace(L, matrix=L.matrix[:5])
+        assert prefix.m == 5
+        small = (em.rank_one_map(5, 3, 4, em.gaussian(), seed=1) if L.variant == "rank_one"
+                 else em.two_stage_map(None, em.gaussian(), 5, 2, seed=1, ambient_dim=5))
+        x = np.arange(1.0, prefix.input_dim + 1.0)
+        np.testing.assert_array_equal(em.apply(prefix, x), em.apply(small, x))
 
 
 def test_rows_extendable_in_m():
@@ -219,8 +247,8 @@ def test_rows_extendable_in_m():
             part = em.two_stage_map(None, dist, m, p=2, seed=33, ambient_dim=5).matrix
             np.testing.assert_array_equal(part, full[:m])
             part_r1 = em.rank_one_map(m, 3, 4, dist, seed=33)
-            np.testing.assert_array_equal(part_r1.a_vecs, full_r1.a_vecs[:m])
-            np.testing.assert_array_equal(part_r1.b_vecs, full_r1.b_vecs[:m])
+            np.testing.assert_array_equal(part_r1.matrix[:, :3], full_r1.matrix[:m, :3])
+            np.testing.assert_array_equal(part_r1.matrix[:, 3:], full_r1.matrix[:m, 3:])
 
 
 def test_apply_columns_rank_one_rejects_wrong_length():
@@ -255,7 +283,8 @@ def test_rank_one_one_column_is_the_direct_contraction(dist):
     for seed, (m, n1, n2) in enumerate([(1, 1, 1), (9, 3, 4), (300, 16, 16), (50, 7, 2)]):
         L = em.rank_one_map(m, n1, n2, dist, seed=seed)
         M = em.sample_dist(em.gaussian(), (n1, n2), seed=100 + seed)
-        want = np.einsum("ij,jk,ik->i", L.a_vecs, M, L.b_vecs) / m
+        a, b = L.matrix[:, :n1].copy(), L.matrix[:, n1:].copy()
+        want = np.einsum("ij,jk,ik->i", a, M, b) / m
         np.testing.assert_array_equal(em.apply(L, M), want)
         np.testing.assert_array_equal(em.apply(L, M.ravel()), want)
         np.testing.assert_array_equal(em.apply_columns(L, M.reshape(-1, 1))[:, 0], want)

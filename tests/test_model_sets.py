@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -224,6 +225,71 @@ def test_secants_collapse_detected():
         ms.normalized_secants(pts, count=3, seed=0)
 
 
+def _topped_up_secants(draw, count, min_gap):
+    """The stream sampler as a plain loop that tops the pool up by the missing
+    count each round: the oracle for which pairs are tried, what is kept and
+    when a set collapses."""
+    n_kept = attempts = 0
+    while n_kept < count:
+        ids, pool = draw(2 * (attempts + count - n_kept))
+        diff, gap, keep = ms._gaps(pool, min_gap)
+        tried = np.arange(1, len(keep) + 1)
+        if np.any(~keep & (tried >= 1000) & (np.cumsum(keep) / tried < 0.01)):
+            raise ms.ModelCollapseError(ms._COLLAPSE)
+        n_kept, attempts = int(keep.sum()), len(keep)
+        if attempts > 100 * count + 1000:
+            raise ms.ModelCollapseError(ms._COLLAPSE)
+    a = 2 * np.flatnonzero(keep)
+    return ms._secants(diff, gap, keep, np.stack([ids[a], ids[a + 1]], axis=1))
+
+
+def _one_apart(n_points, at):
+    pts = np.ones((n_points, 3))
+    pts[at] = [1.0, -2.0, 0.5]
+    return pts
+
+
+LOW_PASS_RATE = [  # (source, count, min_gap): pass rates from 18% to 0; some seeds collapse
+    (_one_apart(10, 3), 50, 1e-9),
+    (_one_apart(100, 50), 20, 1e-9),
+    (_one_apart(120, 7), 25, 1e-9),
+    (_one_apart(150, 7), 30, 1e-9),
+    (ms.Sparse(16, 1), 20, 1.99),  # only x2 = -x1 passes: 1 pair in 32
+    (ms.Sparse(64, 1), 50, 1.99),  # 1 pair in 128
+    (np.ones((5, 2)), 1000, 1e-9),
+]
+
+
+@pytest.mark.parametrize("source, count, min_gap", LOW_PASS_RATE)
+def test_secants_match_the_topped_up_loop_on_low_pass_rates(monkeypatch, source, count, min_gap):
+    def sample(seed):
+        try:
+            return ms.normalized_secants(source, count=count, min_gap=min_gap, seed=seed)
+        except ms.ModelCollapseError as exc:
+            return str(exc)
+
+    for seed in (1, 7, 123):
+        got = sample(seed)
+        with monkeypatch.context() as mp:
+            mp.setattr(ms, "_secants_from_stream", _topped_up_secants)
+            want = sample(seed)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert got.directions.tobytes() == want.directions.tobytes()
+            assert got.pair_ids.tobytes() == want.pair_ids.tobytes()
+
+
+def test_secants_collapse_in_few_rounds(monkeypatch):
+    # five equal points never pass: the pool doubles to the 1000-pair
+    # collapse test instead of growing by one pair a round
+    calls, blocks = [], ms._point_blocks
+    monkeypatch.setattr(ms, "_point_blocks", lambda c, *rest: calls.append(c) or blocks(c, *rest))
+    with pytest.raises(ms.ModelCollapseError):
+        ms.normalized_secants([np.array([1.0, 0.0])] * 5, count=1, seed=0)
+    assert len(calls) <= 12 and calls[-1] >= 2000
+
+
 def _index_stream(n_points, count, seed):
     """Items [0, count) of a finite set's stream: uniform indices, drawn here
     BLOCK at a time from substream (seed, CH_POINT, b)."""
@@ -275,7 +341,8 @@ CROSS = [np.array(v, dtype=float) for v in ((1, 0), (-1, 0), (0, 1), (0, -1))]
 def test_net_single_center_at_diameter():
     net = ms.greedy_net(CROSS, 2.0)
     assert len(net.centers) == 1
-    assert net.covered_count == 4
+    assert net.radii[-1] <= 2.0
+    assert [f.name for f in dataclasses.fields(net)] == ["centers", "center_ids", "radii"]
 
 
 def test_net_all_centers_when_separated():
@@ -478,6 +545,13 @@ def test_vk_pairwise_meets_bound():
     bound = ms.vk_min_separation(0.5, 1.0)
     assert abs(bound - 0.81650) < 1e-5
     assert ms.vk_min_pairwise(0.5, 1.0, 20) >= bound - 1e-12
+
+
+def test_vk_pairwise_needs_a_pair():
+    for k_max in (1, 0):
+        with pytest.raises(ValueError, match="k_max >= 2"):
+            ms.vk_min_pairwise(0.5, 1.0, k_max)
+    assert ms.vk_min_pairwise(0.5, 1.0, 2) == pytest.approx(math.sqrt(2.0 * (1 + 0.25) / (1 + 0.25 + 0.25)))
 
 
 def test_vk_vectors_unit_norm():

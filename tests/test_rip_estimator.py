@@ -2,7 +2,7 @@
 
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -233,17 +233,11 @@ def test_mu_rank_one_rejects_wrong_length():
 # ---------------------------------------------------------------------------
 
 def _identity_map(n):
-    return em.MeasurementMap(
-        variant="two_stage", m=n, dist=em.gaussian(), seed=0, p_scale=2,
-        stage_one=None, matrix=math.sqrt(n) * np.eye(n),
-    )
+    return em.MeasurementMap("two_stage", math.sqrt(n) * np.eye(n), p_scale=2)
 
 
 def _zero_map(n):
-    return em.MeasurementMap(
-        variant="two_stage", m=n, dist=em.gaussian(), seed=0, p_scale=2,
-        stage_one=None, matrix=np.zeros((n, n)),
-    )
+    return em.MeasurementMap("two_stage", np.zeros((n, n)), p_scale=2)
 
 
 def test_delta_zero_for_exact_isometry():
@@ -253,7 +247,11 @@ def test_delta_zero_for_exact_isometry():
     rep = ripest.empirical_delta(_identity_map(n), secants, 2, mu)
     assert rep.delta_p < 1e-12
     assert rep.under_delta == 1.0 and rep.bar_delta == 1.0
-    assert rep.m == n and rep.p == 2 and rep.n_secants == 40
+    assert [f.name for f in fields(rep)] == ["delta_p", "witness_direction", "witness_pair_ids",
+                                             "under_delta", "bar_delta"]
+    # the witness is one of the sampled secants, with its own pair ids
+    i = [tuple(r) for r in secants.pair_ids.tolist()].index(rep.witness_pair_ids)
+    np.testing.assert_array_equal(rep.witness_direction, secants.directions[:, i])
 
 
 def test_delta_one_for_zero_map():
@@ -449,7 +447,7 @@ def test_batched_rank_one_pnorms_match_per_secant_apply(p):
     for d in secants.directions.T:
         M = d.reshape(4, 5)
         # the definition, one measurement at a time: a_i^T M b_i / m
-        y = np.array([L.a_vecs[i] @ M @ L.b_vecs[i] for i in range(L.m)]) / L.m
+        y = np.array([L.matrix[i, :4] @ M @ L.matrix[i, 4:] for i in range(L.m)]) / L.m
         want.append(np.sum(np.abs(y) ** p))
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 

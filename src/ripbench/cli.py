@@ -141,7 +141,7 @@ def _add_model_flags(sp, points: bool = True) -> None:
 def _add_sample_flags(sp) -> None:
     """Model samples or point-file rows, optionally as secants: net and boxdim."""
     _add_model_flags(sp)
-    sp.add_argument("--count", type=int, default=None, help="samples (default 200; for --secants on a point file: all pairs)")
+    sp.add_argument("--count", type=int, default=None, help="samples (default 200; for --secants on a fixed set: all pairs)")
     sp.add_argument("--secants", action="store_true", help="use normalized secant directions instead of raw points")
 
 
@@ -171,10 +171,10 @@ def _load_points(path):
 def _points_for(args):
     """Model samples, point-file rows, or their secant directions, one per row."""
     spec = _model_spec(args)
-    # fixed point sets are used whole; --count sizes samples and secants (point-file secants: all pairs)
+    # fixed point sets are used whole; --count sizes samples and secants (fixed-set secants: all pairs)
     fixed = args.points is not None or args.model == "correlated"
     _require(args.count is None or args.secants or not fixed, "--count needs a sampled model or --secants")
-    count = 200 if args.count is None and args.points is None else args.count
+    count = 200 if args.count is None and not fixed else args.count
     if args.secants:
         return ms.normalized_secants(spec, count=count, seed=child_seed(args.seed, CH_SECANT)).directions.T
     return ms.sample_model(spec, count, args.seed)
@@ -345,6 +345,7 @@ _TAILS_REFUSED = {
 def _cmd_tails(args) -> Report:
     given = ["--" + k.replace("_", "-") for k in _TAILS_REFUSED[args.probe] if getattr(args, k) is not None]
     _require(not given, f"--probe {args.probe} reads none of {', '.join(given)}")
+    grid_given = args.lambda_grid is not None
     for key, default in {**_TAILS_REFUSED["bernstein"], **_TAILS_REFUSED["increment"]}.items():
         setattr(args, key, default if getattr(args, key) is None else getattr(args, key))
     dist = _dist_spec(args)
@@ -355,6 +356,7 @@ def _cmd_tails(args) -> Report:
         spec = _model_spec(args)
         y = ms.normalized_secants(spec, count=1, seed=child_seed(args.seed, CH_SECANT)).directions[:, 0]
         n1, n2 = _map_dims(args, spec)
+        _require(grid_given or args.variant != "rank-one" or n1 * n2 != y.size, "--variant rank-one needs a --lambda-grid")
         fit = tp.increment_tail_fit(
             dist, args.variant.replace("-", "_"), args.m, y, np.zeros_like(y), args.p,
             args.lambda_grid, args.trials, args.seed, n1=n1, n2=n2,

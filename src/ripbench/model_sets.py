@@ -386,6 +386,9 @@ def greedy_net(points: Union[Sequence[np.ndarray], np.ndarray], eps: float) -> N
     if not np.all(np.isfinite(pts)):
         raise ValueError("non-finite coordinates")
     center_ids, radii = [0], []
+    sq = np.einsum("ij,ij->i", pts, pts)
+    low = np.where(sq < 2.0**1020, (1.0 - 1e-9) * sq - 1e-9, np.nan)  # |p|^2 less its margin; NaN: it could overflow
+    est, bound = np.empty_like(sq), np.empty_like(sq)  # reused every step, so the loop allocates only the rows it recomputes
     mindist = np.linalg.norm(pts - pts[0], axis=1)
     while True:
         far = int(np.argmax(mindist))  # argmax takes the first maximum: lowest index wins
@@ -393,7 +396,12 @@ def greedy_net(points: Union[Sequence[np.ndarray], np.ndarray], eps: float) -> N
         if mindist[far] <= eps:
             break
         center_ids.append(far)
-        mindist = np.minimum(mindist, np.linalg.norm(pts - pts[far], axis=1))
+        # a row keeps mindist if |p|^2 + |c|^2 - 2 p.c - 1e-9 (T + 2) >= mindist^2, T = |p|^2 + |c|^2 (+ 2: underflow):
+        # that Gram form and the exact sum of squares err by <= (2D+3)uT and 2(D+2)uT (u = 2^-53), fine for D <= 2e6
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow gives NaN or an inf bound: recomputed
+            np.add(np.matmul(pts, -2.0 * pts[far], out=est), low, out=est)
+            rows = np.flatnonzero(~(est >= np.subtract(np.multiply(mindist, mindist, out=bound), low[far], out=bound)))
+        mindist[rows] = np.minimum(mindist[rows], np.linalg.norm(pts[rows] - pts[far], axis=1))
     return NetResult([pts[i].copy() for i in center_ids], tuple(center_ids), tuple(radii))
 
 

@@ -377,6 +377,16 @@ def test_rop_degenerate_sizes_exit_2(capsys, flag, value):
     assert flag[2:] in rec["message"]
 
 
+def test_net_correlated_secants_use_all_pairs(capsys, tmp_path):
+    # a fixed set's secants without --count are all of its ordered pairs, whether the set is a model or a file
+    points = tmp_path / "pts.csv"
+    points.write_text(ms.points_to_csv(ms.correlated_sequence(0.9, 1.0, 16)))
+    base = ("net", "--secants", "--eps", "0.3", "--seed", "7")
+    got = run_json(capsys, *base, "--model", "correlated", "--r", "0.9", "--b", "1", "--i-max", "16")
+    assert got["n_points"] == 240 == 16 * 15
+    assert got["centers"] == run_json(capsys, *base, "--points", str(points))["centers"]
+
+
 # ---------------------------------------------------------------------------
 # tails
 # ---------------------------------------------------------------------------
@@ -406,6 +416,20 @@ def test_tails_increment(capsys):
     assert got["probe"] == "increment"
     assert got["tail"][0] == 1.0
     assert got["trials"] == 1000
+
+
+RANK_ONE_TAILS = ("tails", "--probe", "increment", "--variant", "rank-one", "--model", "lowrank",
+                  "--n1", "4", "--n2", "4", "--rank", "1", "--m", "40", "--trials", "1000", "--seed", "3")
+
+
+def test_tails_rank_one_needs_an_explicit_grid(capsys):
+    # rank-one deviations spread about 0.011 here, far below the two-stage default grid 0.05-0.8
+    rc, out, err = run(capsys, *RANK_ONE_TAILS)
+    assert (rc, out) == (2, "")
+    rec = json.loads(err)
+    assert rec["error"] == "config" and "--lambda-grid" in rec["message"]
+    got = run_json(capsys, *RANK_ONE_TAILS, "--lambda-grid", "0.005,0.01,0.02,0.04")
+    assert got["tail"] == [0.568, 0.237, 0.035, 0.002]
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 
 import ripbench.cli as cli
 from ripbench import model_sets as ms
-from ripbench._rng import BLOCK
+from ripbench._rng import BLOCK, CH_SECANT, child_seed
 
 
 # ---------------------------------------------------------------------------
@@ -451,6 +451,64 @@ def test_net_at_larger_eps_is_a_prefix(name):
         assert ids == fine.center_ids[:k]
         assert fine.radii[k - 1] <= e and (k == 1 or fine.radii[k - 2] > e)
     assert all(a >= b for a, b in zip(fine.radii, fine.radii[1:]))
+
+
+def _net_oracle(pts, eps):
+    """The `_net_ids_oracle` loop, also returning the radii: every step
+    recomputes all N exact distances to the new center."""
+    pts = np.ascontiguousarray(pts, dtype=float)
+    ids, radii = [0], []
+    mindist = np.linalg.norm(pts - pts[0], axis=1)
+    while True:
+        far = int(np.argmax(mindist))
+        radii.append(float(mindist[far]))
+        if mindist[far] <= eps:
+            return tuple(ids), tuple(radii)
+        ids.append(far)
+        mindist = np.minimum(mindist, np.linalg.norm(pts - pts[far], axis=1))
+
+
+def _screen_sets():
+    """Tie-heavy, extreme-scale and high-dimensional point sets, two eps each."""
+    sets = {name: (pts, (0.3, 0.2)) for name, pts in _tie_heavy_sets().items()}
+    cube = np.zeros((64, 8))
+    cube[:, :3] = np.array(list(itertools.product(range(4), repeat=3))) / 3
+    q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((8, 8)))
+    sets["rotated-grid"] = (cube @ q.T, (0.5, 0.3))  # ties in exact arithmetic that rounding splits
+    base = sets["sparse-secants"][0]
+    for sc in (1e-160, 1e-100, 1e100, 1e153, 1.2e154, 1e155, 1e200):  # 1.2e154: |p|^2 + |c|^2 overflows
+        sets[f"x{sc:g}"] = (base * sc, (0.5 * sc, 0.25 * sc))
+    mixed = base.copy()
+    mixed[::2] *= 1e200
+    mixed[1::2] *= 1e-200
+    sets["mixed"] = (mixed, (1e199, 1e-201))  # distances overflow and underflow within one set
+    sets["gauss512"] = (np.random.default_rng(0).standard_normal((200, 512)), (32.0, 20.0))
+    return sets
+
+
+@pytest.mark.parametrize("name", list(_screen_sets()))
+def test_net_equals_direct_loop_bit_for_bit(name):
+    # the screened update recomputes only rows whose distance may drop, so ids and radii keep every last bit
+    pts, grid = _screen_sets()[name]
+    with np.errstate(over="ignore"):  # at 1e155 and up the exact distances overflow, in both loops
+        for e in grid:
+            net = ms.greedy_net(pts, e)
+            assert (net.center_ids, net.radii) == _net_oracle(pts, e)
+
+
+def test_net_recomputes_few_exact_distances(monkeypatch):
+    pts = ms.normalized_secants(ms.Sparse(32, 2), count=2000, seed=child_seed(1, CH_SECANT)).directions.T
+    want = _net_oracle(pts, 0.5)  # the geometry workload's net
+    rows, norm = [0], np.linalg.norm
+
+    def counting_norm(x, *a, **kw):
+        rows[0] += x.shape[0] if x.ndim == 2 else 1
+        return norm(x, *a, **kw)
+
+    monkeypatch.setattr(np.linalg, "norm", counting_norm)
+    net = ms.greedy_net(pts, 0.5)
+    assert (net.center_ids, net.radii) == want
+    assert rows[0] < 0.05 * len(pts) * len(net.center_ids)  # the direct loop evaluates all N per center
 
 
 # ---------------------------------------------------------------------------
